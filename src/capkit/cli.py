@@ -41,17 +41,10 @@ from .errors import (
     TraceError,
     ValuationError,
 )
-from .judgments.failures import (
-    detect_coercion,
-    detect_deception,
-    detect_domination,
-    detect_exploitation,
-    paternalism_check,
-)
+from .judgments.failures import detect_domination, detect_failures
 from .judgments.records import apply_interaction, materialize_trace
 from .judgments.verdict import judge
-from .model.freedom import compute_freedom, compute_real_freedom
-from .model.frontier import maximal_set
+from .model.freedom import compute_freedom, compute_real_freedom, maximal_plans
 from .rationals import format_rational
 from .report import (
     build_detect_report,
@@ -136,7 +129,7 @@ def cmd_frontier(args) -> int:
         members = compute_real_freedom(s)
         annotate = ("r", s.r)
     else:
-        members = maximal_set(compute_freedom(s), s.v)
+        members = maximal_plans(s)
         annotate = ("v", s.v)
     for fv in members:  # already id-sorted and value-deduplicated
         values = ", ".join(str(format_rational(x)) for x in fv.values)
@@ -168,13 +161,7 @@ def cmd_judge(args) -> int:
             )
         )
     report = build_judge_report(digest, verdicts)
-    if args.format == "human":
-        sys.stdout.write(emit_human(report, color=_color_enabled(sys.stdout)))
-    else:
-        sys.stdout.write(emit_structured(report))
-    if args.fail_on_violation and any(v.has_violation for v in verdicts):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _emit(report, args, any(v.has_violation for v in verdicts))
 
 
 def cmd_detect(args) -> int:
@@ -193,22 +180,21 @@ def cmd_detect(args) -> int:
         found = found or domination.status == "finding"
         step_rows = []
         for step in steps:
-            coercion = detect_coercion(step.before, step.after, step.record)
-            deception = detect_deception(step.before, step.after, step.record)
-            exploitation = detect_exploitation(
-                step.before, step.after, step.record, coercion, deception
-            )
-            findings = [f for f in (coercion, deception, exploitation) if f]
-            paternalism = paternalism_check(step.before, step.after, step.record)
+            findings, paternalism = detect_failures(step.before, step.after, step.record)
             found = found or bool(findings) or paternalism.status == "unjustified"
             step_rows.append((step.index, step.record.id, findings, paternalism))
         results.append(trace_result_obj(trace.id, domination, step_rows))
     report = build_detect_report(digest, results)
+    return _emit(report, args, found)
+
+
+def _emit(report: dict, args, violation: bool) -> int:
+    """Write the report in the requested format and pick the exit code."""
     if args.format == "human":
         sys.stdout.write(emit_human(report, color=_color_enabled(sys.stdout)))
     else:
         sys.stdout.write(emit_structured(report))
-    if args.fail_on_violation and found:
+    if args.fail_on_violation and violation:
         return EXIT_VIOLATION
     return EXIT_OK
 

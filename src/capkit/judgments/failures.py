@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..errors import IncompleteRecordError
-from ..model.freedom import access_profile, compute_freedom, compute_real_freedom
+from ..model.freedom import access_profile, compute_freedom, compute_real_freedom, maximal_plans
 from ..model.frontier import maximal_set
 from ..model.order import dominates
-from ..model.types import FunctioningVector, Scenario, dedupe_by_value
+from ..model.types import FunctioningVector, Scenario, value_set
+from .improvement import unmatched
 from .records import InteractionRecord, MaterializedStep
 
 THREAT_MECHANISMS = frozenset({"threat", "physical_force"})
@@ -49,10 +50,6 @@ class PaternalismResult:
     evidence: tuple[dict, ...]
 
 
-def _value_set(vectors: Sequence[FunctioningVector]) -> frozenset:
-    return frozenset(fv.values for fv in dedupe_by_value(vectors).values())
-
-
 def _ids(vectors: Sequence[FunctioningVector]) -> list[str]:
     return sorted(fv.id for fv in vectors)
 
@@ -81,8 +78,7 @@ def paternalism_check(
             ({"kind": "intent", "intent": rec.intent},),
         )
     q_before = compute_freedom(before)
-    q_after = compute_freedom(after)
-    restricted = _value_set(q_after) < _value_set(q_before)
+    restricted = value_set(compute_freedom(after)) < value_set(q_before)
     if not restricted and rec.promoted_outcome is None:
         return PaternalismResult(
             "not_paternalistic",
@@ -96,8 +92,8 @@ def paternalism_check(
             ),
         )
 
-    m_true = maximal_set(q_before, before.v)
-    m_true_values = _value_set(m_true)
+    m_true = maximal_plans(before)
+    m_true_values = value_set(m_true)
     evidence = []
 
     if rec.promoted_outcome is not None:
@@ -117,7 +113,7 @@ def paternalism_check(
                 {
                     "kind": "actor_estimate",
                     "promoted_maximal_under_estimate": promoted.values
-                    in _value_set(m_est),
+                    in value_set(m_est),
                 }
             )
     else:
@@ -132,10 +128,8 @@ def paternalism_check(
         )
 
     if rec.believed_scenario is not None:
-        m_believed = maximal_set(
-            compute_freedom(rec.believed_scenario), rec.believed_scenario.v
-        )
-        clause_b = _value_set(m_believed) != m_true_values
+        m_believed = maximal_plans(rec.believed_scenario)
+        clause_b = value_set(m_believed) != m_true_values
         evidence.append(
             {
                 "kind": "relevant_ignorance",
@@ -166,22 +160,6 @@ def paternalism_check(
 # ---------------------------------------------------------------------------
 
 
-def _worsening_witnesses(
-    base: Scenario, threat: Scenario, map_id: str
-) -> list[FunctioningVector]:
-    """Freedoms with no weakly-as-good counterpart in the threatened world."""
-    q_base = compute_freedom(base)
-    threat_images = [
-        getattr(threat, map_id).apply(fv) for fv in compute_freedom(threat)
-    ]
-    out = []
-    for b in q_base:
-        target = getattr(base, map_id).apply(b)
-        if not any(dominates(img, target) for img in threat_images):
-            out.append(b)
-    return out
-
-
 def detect_coercion(
     before: Scenario, after: Scenario, rec: InteractionRecord
 ) -> Optional[Finding]:
@@ -206,7 +184,9 @@ def detect_coercion(
         return None
     threat = rec.threat_scenario
 
-    v_witnesses = _worsening_witnesses(before, threat, "v")
+    # Freedoms with no weakly-as-good counterpart in the threatened world.
+    q_before, q_threat = compute_freedom(before), compute_freedom(threat)
+    v_witnesses = unmatched(q_before, q_threat, before.v.apply, threat.v.apply)
 
     profile_before = access_profile(before)
     profile_threat = access_profile(threat)
@@ -219,7 +199,7 @@ def detect_coercion(
         compute_real_freedom(threat)
     )
 
-    u_witnesses = _worsening_witnesses(before, threat, "u")
+    u_witnesses = unmatched(q_before, q_threat, before.u.apply, threat.u.apply)
 
     if not v_witnesses and not dropped_dims and not joint_drop and not u_witnesses:
         return None
@@ -287,17 +267,18 @@ def detect_deception(
         return None
     believed = rec.believed_scenario
 
-    m_believed = maximal_set(compute_freedom(believed), believed.v)
+    m_believed = maximal_plans(believed)
     q_true = compute_freedom(after)
-    m_true = maximal_set(q_true, after.v)
+    m_true = maximal_plans(after)
     if not m_believed and not m_true:
         return None
-    if _value_set(m_believed) & _value_set(m_true):
+    if value_set(m_believed) & value_set(m_true):
         return None
 
     true_by_value = {fv.values: fv for fv in after.functionings}
-    q_true_values = {fv.values for fv in q_true}
-    true_images = [after.v.apply(fv) for fv in q_true]
+    q_true_values = value_set(q_true)
+    present = [true_by_value[b.values] for b in m_believed if b.values in true_by_value]
+    unmatched_values = value_set(unmatched(present, q_true, after.v.apply, after.v.apply))
     serious_items = []
     for bhat in m_believed:
         counterpart = true_by_value.get(bhat.values)
@@ -310,8 +291,7 @@ def detect_deception(
                 }
             )
             continue
-        target = after.v.apply(counterpart)
-        if not any(dominates(img, target) for img in true_images):
+        if counterpart.values in unmatched_values:
             serious_items.append(
                 {
                     "kind": "unmatched_believed_choice",
@@ -375,6 +355,18 @@ def detect_exploitation(
     return Finding("exploitation", "serious" if serious else "minor", tuple(evidence))
 
 
+def detect_failures(
+    before: Scenario, after: Scenario, rec: InteractionRecord
+) -> tuple[list[Finding], PaternalismResult]:
+    """Every per-interaction detector: the findings in presentation order
+    (coercion, deception, exploitation) and the paternalism assessment."""
+    coercion = detect_coercion(before, after, rec)
+    deception = detect_deception(before, after, rec)
+    exploitation = detect_exploitation(before, after, rec, coercion, deception)
+    findings = [f for f in (coercion, deception, exploitation) if f is not None]
+    return findings, paternalism_check(before, after, rec)
+
+
 # ---------------------------------------------------------------------------
 # Domination
 # ---------------------------------------------------------------------------
@@ -420,8 +412,8 @@ def detect_domination(steps: Sequence[MaterializedStep]) -> DominationResult:
     distinct_desires = {step.actor_desired.values for step in followed}
     off_frontier = []
     for step in followed:
-        m_step = maximal_set(compute_freedom(step.after), step.after.v)
-        if step.target_choice.values not in _value_set(m_step):
+        m_step = maximal_plans(step.after)
+        if step.target_choice.values not in value_set(m_step):
             off_frontier.append((step, m_step))
     if len(followed) >= 2 and len(distinct_desires) >= 2 and off_frontier:
         evidence = [

@@ -18,17 +18,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from ..model.freedom import AccessProfile, access_profile, compute_freedom, compute_real_freedom
-from ..model.frontier import maximal_set
+from ..model.freedom import AccessProfile, access_profile, compute_freedom, compute_real_freedom, maximal_plans
+from ..model.frontier import as_applier
 from ..model.order import dominates, strictly_dominates, theta_prefers
-from ..model.types import FunctioningVector, Scenario, ValuationMap, dedupe_by_value
+from ..model.types import FunctioningVector, Scenario, ValuationMap, value_set
 
 Image = Callable[[FunctioningVector], Sequence[Fraction]]
 Relation = Callable[[Sequence[Fraction], Sequence[Fraction]], bool]
 
 
-def _value_set(vectors: Sequence[FunctioningVector]) -> frozenset:
-    return frozenset(fv.values for fv in dedupe_by_value(vectors).values())
+def unmatched(
+    s_set: Sequence[FunctioningVector],
+    s_prime: Sequence[FunctioningVector],
+    img_before: Image,
+    img_after: Image,
+    weak: Relation = dominates,
+) -> list[FunctioningVector]:
+    """Members b of S with no b' in S' such that weak(img_after(b'), img_before(b)):
+    the counterexamples to the universal clause ∀b∈S ∃b'∈S'."""
+    after_images = [img_after(bp) for bp in s_prime]
+    out = []
+    for b in s_set:
+        target = img_before(b)
+        if not any(weak(img, target) for img in after_images):
+            out.append(b)
+    return out
 
 
 def _improves_pairwise(
@@ -40,14 +54,12 @@ def _improves_pairwise(
     strict: Relation,
     require_change: bool,
 ) -> bool:
-    if require_change and _value_set(s_set) == _value_set(s_prime):
+    if require_change and value_set(s_set) == value_set(s_prime):
         return False
-    for b in s_set:
-        if not any(weak(img_after(bp), img_before(b)) for bp in s_prime):
-            return False
-    return any(
-        strict(img_after(bp), img_before(b)) for b in s_set for bp in s_prime
-    )
+    if unmatched(s_set, s_prime, img_before, img_after, weak):
+        return False
+    after_images = [img_after(bp) for bp in s_prime]
+    return any(strict(img, t) for t in map(img_before, s_set) for img in after_images)
 
 
 def improves(
@@ -62,7 +74,7 @@ def improves(
     Empty S is never improved on: the universal clause is vacuous but the
     existential clause has nothing to witness.
     """
-    apply = w.apply if hasattr(w, "apply") else w
+    apply = as_applier(w)
     return _improves_pairwise(
         s_set,
         s_prime,
@@ -191,14 +203,8 @@ def condition2(before: Scenario, after: Scenario) -> Condition2Result:
 
     ∀b ∈ M(Q_before, v): ∃b' ∈ Q_after with v(b') ⪰ v(b).
     """
-    m_before = maximal_set(compute_freedom(before), before.v)
-    q_after = compute_freedom(after)
-    after_images = [after.v.apply(bp) for bp in q_after]
-    missing = []
-    for b in m_before:
-        target = before.v.apply(b)
-        if not any(dominates(img, target) for img in after_images):
-            missing.append(b)
+    m_before = maximal_plans(before)
+    missing = unmatched(m_before, compute_freedom(after), before.v.apply, after.v.apply)
     if missing:
         evidence = tuple(
             {
@@ -245,10 +251,9 @@ class BeneficenceFlags:
 def classify_beneficence(
     before: Scenario, after: Scenario, *, require_change: bool = True
 ) -> BeneficenceFlags:
-    q_before, q_after = compute_freedom(before), compute_freedom(after)
     weak = _improves_pairwise(
-        q_before,
-        q_after,
+        compute_freedom(before),
+        compute_freedom(after),
         before.u.apply,
         after.u.apply,
         dominates,
@@ -265,8 +270,8 @@ def classify_beneficence(
         require_change,
     )
     life = _improves_pairwise(
-        maximal_set(q_before, before.v),
-        maximal_set(q_after, after.v),
+        maximal_plans(before),
+        maximal_plans(after),
         before.v.apply,
         after.v.apply,
         dominates,
@@ -315,16 +320,15 @@ def assistance_life_plans(
     (``theta_p``), the comparison is threshold-sensitive; otherwise it is
     plain Pareto.
     """
-    q_before, q_after = compute_freedom(before), compute_freedom(after)
-    if _value_set(q_before) == _value_set(q_after):
+    if value_set(compute_freedom(before)) == value_set(compute_freedom(after)):
         return False
     if before.theta_p is not None:
         weak, strict = _theta_relations(before.theta_p.values)
     else:
         weak, strict = dominates, strictly_dominates
     return _improves_pairwise(
-        maximal_set(q_before, before.v),
-        q_after,
+        maximal_plans(before),
+        compute_freedom(after),
         before.v.apply,
         after.v.apply,
         weak,

@@ -14,6 +14,7 @@ from ..model.types import (
     Scenario,
     UtilizationEntry,
     ValuationMap,
+    value_set,
 )
 
 
@@ -222,8 +223,7 @@ def materialize_trace(
                     "in the functioning catalog"
                 )
         choice = after.functioning(step.target_choice)
-        q_after_values = {fv.values for fv in compute_freedom(after)}
-        if choice.values not in q_after_values:
+        if choice.values not in value_set(compute_freedom(after)):
             raise TraceError(
                 f"trace {trace.id!r} step {index} target_choice "
                 f"{step.target_choice!r} is not realizable after the step"

@@ -10,16 +10,7 @@ from typing import Optional, Sequence
 from ..errors import InternalInvariantError
 from ..model.types import Scenario
 from ..rationals import format_rational
-from .failures import (
-    DominationResult,
-    Finding,
-    PaternalismResult,
-    detect_coercion,
-    detect_deception,
-    detect_domination,
-    detect_exploitation,
-    paternalism_check,
-)
+from .failures import Finding, PaternalismResult, detect_domination, detect_failures
 from .improvement import (
     AssistanceFlags,
     BeneficenceFlags,
@@ -32,9 +23,6 @@ from .improvement import (
     condition2,
 )
 from .records import InteractionRecord, MaterializedStep
-
-#: Stable presentation order for failure-mode findings.
-_KIND_ORDER = {"coercion": 0, "deception": 1, "exploitation": 2, "domination": 3}
 
 
 @dataclass(frozen=True)
@@ -86,14 +74,7 @@ class Verdict:
                 "failed_clauses": list(self.paternalism.failed_clauses),
                 "evidence": _canonical_evidence(self.paternalism.evidence),
             },
-            "findings": [
-                {
-                    "kind": f.kind,
-                    "severity": f.severity,
-                    "evidence": _canonical_evidence(f.evidence),
-                }
-                for f in self.findings
-            ],
+            "findings": [finding_dict(f) for f in self.findings],
         }
 
 
@@ -110,6 +91,10 @@ def _canonical_value(value):
 def _canonical_evidence(evidence: Sequence[dict]) -> list[dict]:
     items = [_canonical_value(dict(item)) for item in evidence]
     return sorted(items, key=lambda item: json.dumps(item, sort_keys=True))
+
+
+def finding_dict(f: Finding) -> dict:
+    return {"kind": f.kind, "severity": f.severity, "evidence": _canonical_evidence(f.evidence)}
 
 
 def _check_evidence(verdict: Verdict) -> Verdict:
@@ -145,17 +130,13 @@ def judge(
     ``require_change`` mirrors the CLI's --strict-formula flag (inverted):
     pass False to evaluate the raw improvement formulas without the
     set-change guard.  When ``trace_steps`` is given, trace-level domination
-    detection contributes to the findings list.
+    detection contributes the last entry of the findings list.
     """
-    coercion = detect_coercion(before, after, rec)
-    deception = detect_deception(before, after, rec)
-    exploitation = detect_exploitation(before, after, rec, coercion, deception)
-    findings = [f for f in (coercion, deception, exploitation) if f is not None]
+    findings, paternalism = detect_failures(before, after, rec)
     if trace_steps is not None:
         domination = detect_domination(trace_steps)
         if domination.status == "finding":
             findings.append(Finding("domination", None, domination.evidence))
-    findings.sort(key=lambda f: _KIND_ORDER[f.kind])
 
     verdict = Verdict(
         interaction_id=rec.id,
@@ -172,7 +153,7 @@ def judge(
                 before, after, require_change=require_change
             ),
         ),
-        paternalism=paternalism_check(before, after, rec),
+        paternalism=paternalism,
         findings=tuple(findings),
     )
     return _check_evidence(verdict)

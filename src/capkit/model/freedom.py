@@ -1,15 +1,30 @@
-"""Freedom sets, real freedom, and the entitlement access profile."""
+"""Freedom sets, real freedom, maximal plans, and the entitlement access profile."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .frontier import maximal_set
 from .order import dominates
 from .types import FunctioningVector, Scenario, dedupe_by_value
 
 
+def _per_scenario(fn):
+    """Compute fn(s) once per (frozen) scenario and cache it on the instance."""
+
+    @functools.wraps(fn)
+    def cached(s: Scenario):
+        if fn not in s._derived:
+            s._derived[fn] = fn(s)
+        return s._derived[fn]
+
+    return cached
+
+
+@_per_scenario
 def compute_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
     """The freedom set Q: every functioning some live utilization pattern yields.
 
@@ -18,9 +33,10 @@ def compute_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
     deduplicated by vector value and ordered by representative id, so equal
     inputs always enumerate identically.
     """
+    present = {res.id for res in s.resources}
     reachable = []
     for entry in s.utilization:
-        if not s.has_resource(entry.resource_id):
+        if entry.resource_id not in present:
             continue
         if all(
             s.context_value(g.context, g.component) >= g.min for g in entry.guards
@@ -30,12 +46,19 @@ def compute_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
     return tuple(sorted(deduped.values(), key=lambda fv: fv.id))
 
 
+@_per_scenario
 def compute_real_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
     """The real freedom set Q*: members of Q whose r-image meets every threshold."""
     theta = s.theta.values
     return tuple(
         fv for fv in compute_freedom(s) if dominates(s.r.apply(fv), theta)
     )
+
+
+@_per_scenario
+def maximal_plans(s: Scenario) -> tuple[FunctioningVector, ...]:
+    """The maximal set M: members of Q whose v-image nothing in Q strictly beats."""
+    return maximal_set(compute_freedom(s), s.v)
 
 
 @dataclass(frozen=True)
@@ -70,6 +93,7 @@ class AccessProfile:
         return tuple(e.dimension for e in self.entries if not e.satisfied)
 
 
+@_per_scenario
 def access_profile(s: Scenario) -> AccessProfile:
     """Summarize entitlement access over the current freedom set."""
     q = compute_freedom(s)

@@ -16,7 +16,8 @@ from .types import FunctioningVector, ValuationMap, dedupe_by_value
 Valuation = Union[ValuationMap, Callable[[FunctioningVector], tuple]]
 
 
-def _as_applier(w: Valuation) -> Callable[[FunctioningVector], tuple]:
+def as_applier(w: Valuation) -> Callable[[FunctioningVector], tuple]:
+    """The image function of a valuation given as a map or as a callable."""
     if isinstance(w, ValuationMap):
         return w.apply
     return w
@@ -37,7 +38,7 @@ def maximal_set(
     with equal images are all maximal or all not, and are all returned.
     The result is ordered by id.
     """
-    apply = _as_applier(w)
+    apply = as_applier(w)
     candidates = list(dedupe_by_value(q).values())
     images = {fv.id: tuple(apply(fv)) for fv in candidates}
     candidates.sort(

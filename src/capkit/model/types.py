@@ -201,6 +201,9 @@ class Scenario:
     ``theta`` is the entitlement threshold over E-space; ``theta_p`` is an
     optional aspiration threshold over P-space used by the life-plan
     assistance test.
+
+    Derived sets (Q, Q*, M, the access profile) are cached per instance, so
+    callers must treat the mapping fields as read-only.
     """
 
     agent_id: str
@@ -217,11 +220,14 @@ class Scenario:
     _fv_by_id: Mapping[str, FunctioningVector] = field(
         default=None, repr=False, compare=False, hash=False
     )
+    _derived: dict = field(default=None, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_fv_by_id", {fv.id: fv for fv in self.functionings}
         )
+        # replace() passes the old instance's cache in; never inherit it.
+        object.__setattr__(self, "_derived", {})
 
     # -- lookups -----------------------------------------------------------
 
@@ -239,9 +245,6 @@ class Scenario:
             if res.id == resource_id:
                 return res
         raise SchemaError(f"unknown resource id {resource_id!r}")
-
-    def has_resource(self, resource_id: str) -> bool:
-        return any(res.id == resource_id for res in self.resources)
 
     def context_value(self, context: str, component: str) -> Fraction:
         vector = self.characteristics if context == "characteristics" else self.social
@@ -267,9 +270,6 @@ class Scenario:
         """Transient valuation; falls back to v when not declared."""
         return self.maps.get("u", self.maps["v"])
 
-    def image(self, map_id: str, fv: FunctioningVector) -> tuple[Fraction, ...]:
-        return getattr(self, map_id).apply(fv)
-
 
 def dedupe_by_value(
     vectors,
@@ -287,3 +287,8 @@ def dedupe_by_value(
         if cur is None or fv.id < cur.id:
             out[fv.values] = fv
     return out
+
+
+def value_set(vectors) -> frozenset:
+    """The set of distinct component values, i.e. the vectors with ids erased."""
+    return frozenset(fv.values for fv in vectors)

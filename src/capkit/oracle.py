@@ -133,12 +133,14 @@ def naive_maximal_set(
         elif fv.id < clash.id:
             pool.remove(clash)
             pool.append(fv)
+    images = [tuple(apply(fv)) for fv in pool]
     keep = []
-    for fv in pool:
+    for fv, img in zip(pool, images):
         dominated = False
-        for other in pool:
-            if _strict(tuple(apply(other)), tuple(apply(fv))):
+        for other in images:
+            if _strict(other, img):
                 dominated = True
+                break
         if not dominated:
             keep.append(fv)
     return tuple(sorted(keep, key=lambda fv: fv.id))

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .judgments.failures import DominationResult, Finding, PaternalismResult
-from .judgments.verdict import Verdict, _canonical_evidence
+from .judgments.verdict import Verdict, _canonical_evidence, finding_dict
 
 JUDGE_FORMAT = "capkit.judge.v1"
 DETECT_FORMAT = "capkit.detect.v1"
@@ -70,14 +70,7 @@ def trace_result_obj(
             {
                 "step": index,
                 "interaction": rec_id,
-                "findings": [
-                    {
-                        "kind": f.kind,
-                        "severity": f.severity,
-                        "evidence": _canonical_evidence(f.evidence),
-                    }
-                    for f in findings
-                ],
+                "findings": [finding_dict(f) for f in findings],
                 "paternalism": {
                     "status": paternalism.status,
                     "failed_clauses": list(paternalism.failed_clauses),
@@ -113,6 +106,22 @@ def _status_color(status: str) -> Optional[str]:
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
+
+
+def _finding_label(f: dict, color: bool) -> str:
+    """A finding's kind, followed by its painted severity when it has one."""
+    if not f.get("severity"):
+        return f["kind"]
+    sev_color = "red" if f["severity"] == "serious" else "yellow"
+    return f["kind"] + " (" + _paint(f["severity"], sev_color, color) + ")"
+
+
+def _paternalism_label(pat: dict, color: bool) -> str:
+    """The painted paternalism status, followed by any failed clauses."""
+    label = _paint(pat["status"], _status_color(pat["status"]), color)
+    if pat["failed_clauses"]:
+        label += " (failed clauses: " + ", ".join(pat["failed_clauses"]) + ")"
+    return label
 
 
 def _render_evidence(items, lines, indent="    "):
@@ -172,10 +181,7 @@ def _render_verdict(verdict: dict, lines: list[str], color: bool) -> None:
         )
     )
     pat = verdict["paternalism"]
-    line = "  paternalism: " + _paint(pat["status"], _status_color(pat["status"]), color)
-    if pat["failed_clauses"]:
-        line += " (failed clauses: " + ", ".join(pat["failed_clauses"]) + ")"
-    lines.append(line)
+    lines.append("  paternalism: " + _paternalism_label(pat, color))
     if pat["status"] == "unjustified":
         _render_evidence(pat["evidence"], lines)
     findings = verdict["findings"]
@@ -184,11 +190,7 @@ def _render_verdict(verdict: dict, lines: list[str], color: bool) -> None:
     else:
         lines.append("  failure modes:")
         for f in findings:
-            label = f["kind"]
-            if f.get("severity"):
-                sev_color = "red" if f["severity"] == "serious" else "yellow"
-                label += " (" + _paint(f["severity"], sev_color, color) + ")"
-            lines.append(f"    {label}")
+            lines.append("    " + _finding_label(f, color))
             _render_evidence(f["evidence"], lines, indent="      ")
 
 
@@ -203,17 +205,8 @@ def _render_trace(trace: dict, lines: list[str], color: bool) -> None:
         if not step["findings"]:
             lines.append("    findings: none")
         for f in step["findings"]:
-            label = f["kind"]
-            if f.get("severity"):
-                sev_color = "red" if f["severity"] == "serious" else "yellow"
-                label += " (" + _paint(f["severity"], sev_color, color) + ")"
-            lines.append(f"    finding: {label}")
+            lines.append("    finding: " + _finding_label(f, color))
             _render_evidence(f["evidence"], lines, indent="      ")
         pat = step["paternalism"]
         if pat["status"] != "not_paternalistic":
-            line = "    paternalism: " + _paint(
-                pat["status"], _status_color(pat["status"]), color
-            )
-            if pat["failed_clauses"]:
-                line += " (failed clauses: " + ", ".join(pat["failed_clauses"]) + ")"
-            lines.append(line)
+            lines.append("    paternalism: " + _paternalism_label(pat, color))

@@ -1027,6 +1027,10 @@ def parse_document(
         raise DocumentError(
             [Diagnostic("error", "$", f"duplicate object key {exc.key!r}")]
         ) from None
+    except RecursionError:
+        raise DocumentError(
+            [Diagnostic("error", "document", "not valid JSON: nesting too deep")]
+        ) from None
     except ValueError as exc:
         # json.JSONDecodeError subclasses ValueError and carries position info.
         lineno = getattr(exc, "lineno", None)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from capkit import oracle
 from capkit.errors import DeltaError, TraceError
 from capkit.judgments.records import (
     InteractionDeltas,
@@ -17,7 +18,12 @@ from capkit.judgments.records import (
     apply_interaction,
     materialize_trace,
 )
-from capkit.model.freedom import compute_freedom
+from capkit.model.freedom import (
+    access_profile,
+    compute_freedom,
+    compute_real_freedom,
+    maximal_plans,
+)
 from capkit.model.types import (
     Dimension,
     DimensionSchema,
@@ -170,6 +176,44 @@ class TestApplyInteraction:
         assert after.maps == base.maps
         assert after.theta == base.theta
         assert after.schemas == base.schemas
+
+    def test_after_scenario_does_not_inherit_derived_sets(self):
+        # replace() copies every init field, the derived-set cache included;
+        # the after-scenario must recompute Q, Q*, M and the access profile.
+        rest = UtilizationEntry(
+            "f_rest", "x_bike", (Guard("characteristics", "fitness", F(2)),), "b_rest"
+        )
+        seed = _base_scenario()
+        base = replace(
+            seed,
+            utilization=seed.utilization + (rest,),
+            maps={
+                "v": ValuationMap(
+                    "v", "table", entries={"b_walk": (F(1),), "b_ride": (F(2),), "b_rest": (F(3),)}
+                ),
+                "r": ValuationMap(
+                    "r", "table", entries={"b_walk": (F(2),), "b_ride": (F(0),), "b_rest": (F(1),)}
+                ),
+            },
+        )
+        derived = (compute_freedom, compute_real_freedom, maximal_plans, access_profile)
+        before = [fn(base) for fn in derived]
+        deltas = InteractionDeltas(
+            resources_removed=("x_shoes",), characteristics_delta={"fitness": F(1)}
+        )
+        after = apply_interaction(base, _record(deltas))
+        q, q_star, m, profile = (fn(after) for fn in derived)
+
+        def ids(vectors):
+            return sorted(fv.id for fv in vectors)
+
+        assert [fn(base) for fn in derived] == before
+        assert ids(q) == ids(oracle.freedom(after)) == ["b_rest", "b_ride"]
+        assert ids(q_star) == ids(oracle.real_freedom(after)) == ["b_rest"]
+        assert ids(m) == ids(oracle.naive_maximal_set(oracle.freedom(after), after.v)) == ["b_rest"]
+        assert ids(before[2]) == ["b_ride"]
+        assert [e.max_value for e in before[3].entries] == [F(2)]
+        assert [e.max_value for e in profile.entries] == [F(1)]
 
     def test_surveillance_after_state(self):
         doc, _ = parse_document((FIXTURES / "surveillance.scn").read_text())

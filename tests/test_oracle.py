@@ -7,10 +7,13 @@ importantly the raw-formula subtlety the engine's change guard exists for.
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import capkit
 from capkit import oracle
 from capkit.judgments.improvement import improves
 from capkit.model.frontier import maximal_set
@@ -82,3 +85,35 @@ class TestEvalFormula:
             "assistance_real_freedom",
             "assistance_life_plans",
         )
+
+
+class TestIndependence:
+    PACKAGE = Path(capkit.__file__).parent
+
+    @staticmethod
+    def _imported_modules(path: Path) -> set[str]:
+        """Absolute names of the capkit modules a source file imports."""
+        parts = ["capkit", *path.relative_to(TestIndependence.PACKAGE).with_suffix("").parts]
+        package = parts[:-1]
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                names.add(module)
+                # "from . import x" and "from capkit import x" may name modules
+                names.update(f"{module}.{alias.name}" for alias in node.names)
+        return {n for n in names if n == "capkit" or n.startswith("capkit.")}
+
+    def test_oracle_imports_only_domain_types_and_errors(self):
+        imported = self._imported_modules(self.PACKAGE / "oracle.py")
+        allowed = {"capkit.model.types", "capkit.errors"}
+        assert {n for n in imported if not any(n.startswith(a) for a in allowed)} == set()
+        assert imported & allowed
+
+    def test_engine_never_imports_oracle(self):
+        for path in sorted(self.PACKAGE.rglob("*.py")):
+            if path.name != "oracle.py":
+                assert "capkit.oracle" not in self._imported_modules(path), path
