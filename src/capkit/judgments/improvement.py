@@ -10,6 +10,11 @@ actually differ (as value sets).  Without that guard the bare formula calls
 an unchanged situation "improved" whenever it happens to contain an
 internally dominated pair; the guard can be lifted via ``require_change``
 (surfaced on the CLI as ``--strict-formula``) to study the raw formula.
+
+The threshold-sensitive variants used by the assistance judgments need no
+relation of their own for the ∀∃ clause: a ⪰ b implies sat(a) ⊇ sat(b), so
+the weak threshold preference is Pareto dominance.  Only the strict ∃∃
+clause changes, to a ≻ b or sat(a) ⊋ sat(b).
 """
 
 from __future__ import annotations
@@ -19,12 +24,11 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from ..model.freedom import AccessProfile, access_profile, compute_freedom, compute_real_freedom, maximal_plans
-from ..model.frontier import as_applier
+from ..model.frontier import Valuation, as_applier
 from ..model.order import dominates, strictly_dominates, theta_prefers
-from ..model.types import FunctioningVector, Scenario, ValuationMap, value_set
+from ..model.types import FunctioningVector, Scenario, value_set
 
 Image = Callable[[FunctioningVector], Sequence[Fraction]]
-Relation = Callable[[Sequence[Fraction], Sequence[Fraction]], bool]
 
 
 def unmatched(
@@ -32,58 +36,46 @@ def unmatched(
     s_prime: Sequence[FunctioningVector],
     img_before: Image,
     img_after: Image,
-    weak: Relation = dominates,
 ) -> list[FunctioningVector]:
-    """Members b of S with no b' in S' such that weak(img_after(b'), img_before(b)):
+    """Members b of S with no b' in S' such that img_after(b') ⪰ img_before(b):
     the counterexamples to the universal clause ∀b∈S ∃b'∈S'."""
     after_images = [img_after(bp) for bp in s_prime]
     out = []
     for b in s_set:
         target = img_before(b)
-        if not any(weak(img, target) for img in after_images):
+        if not any(dominates(img, target) for img in after_images):
             out.append(b)
     return out
-
-
-def _improves_pairwise(
-    s_set: Sequence[FunctioningVector],
-    s_prime: Sequence[FunctioningVector],
-    img_before: Image,
-    img_after: Image,
-    weak: Relation,
-    strict: Relation,
-    require_change: bool,
-) -> bool:
-    if require_change and value_set(s_set) == value_set(s_prime):
-        return False
-    if unmatched(s_set, s_prime, img_before, img_after, weak):
-        return False
-    after_images = [img_after(bp) for bp in s_prime]
-    return any(strict(img, t) for t in map(img_before, s_set) for img in after_images)
 
 
 def improves(
     s_set: Sequence[FunctioningVector],
     s_prime: Sequence[FunctioningVector],
-    w: ValuationMap,
+    w: Valuation,
+    w_after: Optional[Valuation] = None,
     *,
+    theta: Optional[Sequence[Fraction]] = None,
     require_change: bool = True,
 ) -> bool:
-    """Does S' improve on S under valuation w?
+    """Does S' improve on S?
 
-    Empty S is never improved on: the universal clause is vacuous but the
-    existential clause has nothing to witness.
+    S is valued under w and S' under ``w_after`` (w when omitted).  The
+    strict ∃∃ clause uses Pareto ≻, or the strict threshold preference when
+    ``theta`` is given; the ∀∃ clause is Pareto ⪰ either way.  Each image is
+    computed once.  Empty S is never improved on: the universal clause is
+    vacuous but the existential clause has nothing to witness.
     """
-    apply = as_applier(w)
-    return _improves_pairwise(
-        s_set,
-        s_prime,
-        apply,
-        apply,
-        dominates,
-        strictly_dominates,
-        require_change,
-    )
+    if require_change and value_set(s_set) == value_set(s_prime):
+        return False
+    img_before = as_applier(w)
+    img_after = img_before if w_after is None else as_applier(w_after)
+    before = [img_before(b) for b in s_set]
+    after = [img_after(bp) for bp in s_prime]
+    if not all(any(dominates(a, t) for a in after) for t in before):
+        return False
+    if theta is None:
+        return any(strictly_dominates(a, t) for t in before for a in after)
+    return any(theta_prefers(a, t, theta, strict=True) for t in before for a in after)
 
 
 # ---------------------------------------------------------------------------
@@ -251,40 +243,29 @@ class BeneficenceFlags:
 def classify_beneficence(
     before: Scenario, after: Scenario, *, require_change: bool = True
 ) -> BeneficenceFlags:
-    weak = _improves_pairwise(
-        compute_freedom(before),
-        compute_freedom(after),
-        before.u.apply,
-        after.u.apply,
-        dominates,
-        strictly_dominates,
-        require_change,
+    return BeneficenceFlags(
+        weak=improves(
+            compute_freedom(before),
+            compute_freedom(after),
+            before.u,
+            after.u,
+            require_change=require_change,
+        ),
+        real_freedom=improves(
+            compute_real_freedom(before),
+            compute_real_freedom(after),
+            before.r,
+            after.r,
+            require_change=require_change,
+        ),
+        life_plan=improves(
+            maximal_plans(before),
+            maximal_plans(after),
+            before.v,
+            after.v,
+            require_change=require_change,
+        ),
     )
-    real = _improves_pairwise(
-        compute_real_freedom(before),
-        compute_real_freedom(after),
-        before.r.apply,
-        after.r.apply,
-        dominates,
-        strictly_dominates,
-        require_change,
-    )
-    life = _improves_pairwise(
-        maximal_plans(before),
-        maximal_plans(after),
-        before.v.apply,
-        after.v.apply,
-        dominates,
-        strictly_dominates,
-        require_change,
-    )
-    return BeneficenceFlags(weak=weak, real_freedom=real, life_plan=life)
-
-
-def _theta_relations(theta: Sequence[Fraction]) -> tuple[Relation, Relation]:
-    weak = lambda a, b: theta_prefers(a, b, theta, strict=False)
-    strict = lambda a, b: theta_prefers(a, b, theta, strict=True)
-    return weak, strict
 
 
 def assistance_real_freedom(
@@ -292,29 +273,23 @@ def assistance_real_freedom(
 ) -> bool:
     """Assistance through real freedom: Q* improves under the
     threshold-sensitive preference over r-images."""
-    weak, strict = _theta_relations(before.theta.values)
-    return _improves_pairwise(
+    return improves(
         compute_real_freedom(before),
         compute_real_freedom(after),
-        before.r.apply,
-        after.r.apply,
-        weak,
-        strict,
-        require_change,
+        before.r,
+        after.r,
+        theta=before.theta.values,
+        require_change=require_change,
     )
 
 
-def assistance_life_plans(
-    before: Scenario, after: Scenario, *, require_change: bool = True
-) -> bool:
+def assistance_life_plans(before: Scenario, after: Scenario) -> bool:
     """Assistance through life plans: every v-maximal option keeps a weakly
     preferred successor somewhere in the new freedom set, and at least one is
     strictly bettered.
 
-    The definition itself demands a changed freedom set (Q' ≠ Q), so that
-    requirement stays even when ``require_change`` is lifted; the flag only
-    controls the engine's additional guard, which here coincides with the
-    definitional one.
+    The definition itself demands a changed freedom set (Q' ≠ Q), so this
+    judgment keeps that requirement even under ``--strict-formula``.
 
     When the scenario declares an aspiration threshold over P-space
     (``theta_p``), the comparison is threshold-sensitive; otherwise it is
@@ -322,17 +297,12 @@ def assistance_life_plans(
     """
     if value_set(compute_freedom(before)) == value_set(compute_freedom(after)):
         return False
-    if before.theta_p is not None:
-        weak, strict = _theta_relations(before.theta_p.values)
-    else:
-        weak, strict = dominates, strictly_dominates
-    return _improves_pairwise(
+    return improves(
         maximal_plans(before),
         compute_freedom(after),
-        before.v.apply,
-        after.v.apply,
-        weak,
-        strict,
+        before.v,
+        after.v,
+        theta=None if before.theta_p is None else before.theta_p.values,
         require_change=False,  # the Q' ≠ Q requirement above already holds
     )
 

@@ -149,9 +149,7 @@ def judge(
             real_freedom=assistance_real_freedom(
                 before, after, require_change=require_change
             ),
-            life_plans=assistance_life_plans(
-                before, after, require_change=require_change
-            ),
+            life_plans=assistance_life_plans(before, after),
         ),
         paternalism=paternalism,
         findings=tuple(findings),

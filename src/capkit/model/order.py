@@ -52,11 +52,12 @@ def theta_prefers(a: Vector, b: Vector, theta: Vector, *, strict: bool) -> bool:
 
     Newly meeting a minimum therefore counts as a strict improvement even
     when the vectors are otherwise Pareto-incomparable.
+
+    Because a ⪰ b already implies sat(a) ⊇ sat(b), both forms reduce: the
+    weak form is exactly ``dominates(a, b)``, and the strict form is
+    a ≻ b or sat(a) ⊋ sat(b).
     """
-    sat_a = sat_set(a, theta)
-    sat_b = sat_set(b, theta)
+    _check_lengths(a, theta)
     if strict:
-        if sat_a > sat_b:
-            return True
-        return sat_a >= sat_b and strictly_dominates(a, b)
-    return sat_a >= sat_b and dominates(a, b)
+        return strictly_dominates(a, b) or sat_set(a, theta) > sat_set(b, theta)
+    return dominates(a, b)

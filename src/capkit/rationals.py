@@ -8,11 +8,51 @@ epsilon tolerances anywhere in the engine.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import SchemaError
 
 __all__ = ["parse_rational", "format_rational"]
+
+# A decimal literal; digit separators are removed before matching.  Kept
+# as a pattern string, so it is compiled on first use, not at import.
+_DECIMAL = r"[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?"
+
+# 0 (no limit) on Pythons that predate the int-to-string digit limit.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _oversized(text: str) -> bool:
+    """Would the decimal literal's value, written as its digits d times 10^k,
+    need more numerator digits (len(d) + k, k ≥ 0) or denominator digits
+    (1 − k, k < 0) than the interpreter's int-to-string limit?  The exponent
+    is read from the text, so no huge number is ever built."""
+    limit = _int_max_str_digits()
+    if not limit or (len(text) <= limit and "e" not in text and "E" not in text):
+        return False  # without an exponent, neither part outgrows the text
+    match = re.fullmatch(_DECIMAL, text.replace("_", ""))
+    if match is None:
+        return False
+    whole, frac, exp = match.groups("")
+    try:
+        k = int(exp or 0) - len(frac)
+    except ValueError:  # the exponent alone has more digits than the limit
+        return True
+    return len((whole + frac).lstrip("0")) + max(k, 0) > limit or -k >= limit
+
+
+class OversizedLiteral:
+    """A JSON number past the digit limit, left for parse_rational to reject."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def json_decimal(text: str):
+    """``parse_float`` hook for JSON: the exact value of a decimal literal."""
+    return OversizedLiteral(text) if _oversized(text) else Fraction(text)
 
 
 def parse_rational(raw) -> Fraction:
@@ -20,7 +60,9 @@ def parse_rational(raw) -> Fraction:
 
     Accepts Python ints, Fractions (passed through), and strings in integer,
     decimal, or ``p/q`` form.  Rejects floats (inexact), zero denominators,
-    and non-finite spellings such as ``nan`` or ``inf``.
+    non-finite spellings such as ``nan`` or ``inf``, and decimal literals
+    (strings or :class:`OversizedLiteral` JSON numbers) whose value would
+    not print within the interpreter's int-to-string digit limit.
     """
     if isinstance(raw, Fraction):
         return raw
@@ -33,8 +75,15 @@ def parse_rational(raw) -> Fraction:
             f"float literal {raw!r} is not admitted; write an integer, "
             "a decimal string, or a 'p/q' string"
         )
+    if isinstance(raw, OversizedLiteral):
+        raw = raw.text
     if isinstance(raw, str):
         text = raw.strip()
+        if _oversized(text):
+            raise SchemaError(
+                f"rational literal {text!r} is too large: its numerator or "
+                f"denominator would exceed {_int_max_str_digits()} digits"
+            )
         try:
             value = Fraction(text)
         except ZeroDivisionError:

@@ -49,7 +49,7 @@ from .model.types import (
     UtilizationEntry,
     ValuationMap,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, json_decimal, parse_rational
 
 FORMAT_VERSION = 1
 
@@ -469,8 +469,9 @@ class _Parser:
         return tuple(sorted(out, key=lambda g: (g.context, g.component, g.min)))
 
     def utilization_entry(
-        self, item, path, resource_ids, fv_ids, characteristics, social, *, check_resource=True
+        self, item, path, resource_ids, fv_ids, characteristics, social
     ) -> Optional[UtilizationEntry]:
+        """One pattern; ``resource_ids`` None skips the resource check."""
         obj = self.obj(item, path)
         if obj is None:
             return None
@@ -485,7 +486,7 @@ class _Parser:
         )
         if pid is None or rid is None or output is None or guards is None:
             return None
-        if check_resource and rid not in resource_ids:
+        if resource_ids is not None and rid not in resource_ids:
             self.error(f"{path}.resource_id", f"unknown resource id {rid!r}")
             return None
         if output not in fv_ids:
@@ -876,35 +877,14 @@ class _Parser:
         # Resource presence for added entries depends on the evolving state
         # (earlier trace steps may add the resource), so it is checked at
         # application time; outputs and guard components are static.
-        added_entries = None
-        arr = self.array(
-            obj.get("utilization_added", []), f"{path}.utilization_added"
+        added_entries = self.utilization_list(
+            obj.get("utilization_added", []),
+            f"{path}.utilization_added",
+            None,
+            {fv.id for fv in scenario.functionings},
+            scenario.characteristics,
+            scenario.social,
         )
-        if arr is not None:
-            added_entries = []
-            seen = set()
-            for i, item in enumerate(arr):
-                entry = self.utilization_entry(
-                    item,
-                    f"{path}.utilization_added[{i}]",
-                    set(),
-                    {fv.id for fv in scenario.functionings},
-                    scenario.characteristics,
-                    scenario.social,
-                    check_resource=False,
-                )
-                if entry is None:
-                    added_entries = None
-                    break
-                if entry.pattern_id in seen:
-                    self.error(
-                        f"{path}.utilization_added[{i}]",
-                        f"duplicate pattern id {entry.pattern_id!r}",
-                    )
-                    added_entries = None
-                    break
-                seen.add(entry.pattern_id)
-                added_entries.append(entry)
 
         if (
             resources_added is None
@@ -1019,7 +999,7 @@ def parse_document(
     try:
         raw = json.loads(
             text,
-            parse_float=Fraction,
+            parse_float=json_decimal,
             parse_constant=_reject_constant,
             object_pairs_hook=_pairs_hook,
         )

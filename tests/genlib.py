@@ -90,6 +90,39 @@ def table_map(
     return ValuationMap(map_id=map_id, form="table", entries=entries)
 
 
+# Matrix entries of linear maps: small, signed, and sometimes fractional,
+# so images tie, cross thresholds, and are not always integers.
+MATRIX_POOL: tuple[Fraction, ...] = (
+    Fraction(-1),
+    Fraction(0),
+    Fraction(1, 2),
+    Fraction(1),
+)
+
+
+def linear_map(
+    rng: random.Random, map_id: str, n_in: int, n_out: int
+) -> ValuationMap:
+    """A linear map: an n_out × n_in matrix applied to the B-vector."""
+    matrix = tuple(
+        tuple(rng.choice(MATRIX_POOL) for _ in range(n_in)) for _ in range(n_out)
+    )
+    return ValuationMap(map_id=map_id, form="linear", matrix=matrix)
+
+
+def _valuation_map(
+    rng: random.Random, map_id: str, functionings, n_b: int, n_out: int, linear: bool
+) -> ValuationMap:
+    """A table map, or with ``linear`` a coin flip between table and linear.
+
+    Without ``linear`` no extra random draw is made, so seeded scenarios stay
+    what they were before linear maps existed.
+    """
+    if linear and rng.random() < 0.5:
+        return linear_map(rng, map_id, n_b, n_out)
+    return table_map(rng, map_id, functionings, n_out)
+
+
 def _extend_table_map(
     rng: random.Random,
     base_map: ValuationMap,
@@ -97,7 +130,12 @@ def _extend_table_map(
     new_functionings,
     n_out: int,
 ) -> ValuationMap:
-    """Extend a table map over new vectors, preserving image consistency."""
+    """Extend a table map over new vectors, preserving image consistency.
+
+    A linear map already covers every vector of its width and is kept.
+    """
+    if base_map.form == "linear":
+        return base_map
     by_value = {fv.values: base_map.entries[fv.id] for fv in old_functionings}
     entries = dict(base_map.entries)
     for fv in new_functionings:
@@ -152,8 +190,12 @@ def scenario(
     max_p: int = 3,
     max_vectors: int = 8,
     with_u: bool | None = None,
+    linear: bool = False,
 ) -> Scenario:
-    """One random, internally consistent scenario."""
+    """One random, internally consistent scenario.
+
+    With ``linear`` each valuation map is linear with probability 1/2.
+    """
     n_b = rng.randint(1, max_b)
     n_e = rng.randint(1, max_e)
     n_p = rng.randint(1, max_p)
@@ -171,8 +213,8 @@ def scenario(
     social = {"support": rng.choice(LEVEL_POOL)}
     utilization = tuple(_utilization_for(rng, functionings, resources))
     maps = {
-        "v": table_map(rng, "v", functionings, n_p),
-        "r": table_map(rng, "r", functionings, n_e),
+        "v": _valuation_map(rng, "v", functionings, n_b, n_p, linear),
+        "r": _valuation_map(rng, "r", functionings, n_b, n_e, linear),
     }
     use_u = (rng.random() < 0.4) if with_u is None else with_u
     if use_u:
@@ -180,7 +222,7 @@ def scenario(
         schemas["U"] = DimensionSchema(
             "U", tuple(Dimension(f"transient_{k}") for k in range(n_u))
         )
-        maps["u"] = table_map(rng, "u", functionings, n_u)
+        maps["u"] = _valuation_map(rng, "u", functionings, n_b, n_u, linear)
     theta = ThresholdVector(tuple(rng.choice(THRESHOLD_POOL) for _ in range(n_e)))
     theta_p = None
     if rng.random() < 0.3:
@@ -210,6 +252,7 @@ def successor(rng: random.Random, base: Scenario) -> Scenario:
     catalog growth, which traces cannot produce but the raw improvement
     formulas must still handle.  With some probability the base is returned
     unchanged, so differential tests see the no-change diagonal often.
+    Table maps are extended over the new vectors; linear maps carry over.
     """
     if rng.random() < 0.15:
         return base

@@ -186,14 +186,22 @@ def _value_set(vectors):
     return frozenset(fv.values for fv in vectors)
 
 
+# Table-map seeds first, then seeds whose valuation maps may be linear.
+_CRITERION_3_CASES = [(30_000 + i, False) for i in range(1000)] + [
+    (33_000 + i, True) for i in range(300)
+]
+
+
 @criterion(3, "engine == oracle except exactly on change-guard cases")
 def test_criterion_3_quantifier_differential():
     observed = set()
     expected = set()
-    for index in range(1000):
-        rng = random.Random(30_000 + index)
-        before = genlib.scenario(rng)
+    linear_maps = 0
+    for index, linear in _CRITERION_3_CASES:
+        rng = random.Random(index)
+        before = genlib.scenario(rng, linear=linear)
         after = genlib.successor(rng, before)
+        linear_maps += any(m.form == "linear" for m in before.maps.values())
 
         q_eq = _value_set(compute_freedom(before)) == _value_set(
             compute_freedom(after)
@@ -233,6 +241,7 @@ def test_criterion_3_quantifier_differential():
 
     assert observed == expected
     assert observed, "differential never exercised the change guard"
+    assert linear_maps >= 200, "too few scenarios with linear maps"
     # the guard only ever suppresses a raw-true reading, never invents one
     assert {f for _, f in observed} <= {
         "benefit_weak",

@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import json
 import random
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -153,6 +155,32 @@ class TestRationalLiterals:
         obj = base_doc()
         obj["scenario"]["characteristics"]["skill"] = True
         expect_error(obj, "$.scenario.characteristics.skill", "boolean")
+
+    def test_exponent_bounded_by_int_digit_limit(self):
+        from capkit.errors import SchemaError
+
+        limit = sys.get_int_max_str_digits()
+        # 10^(limit-1) has limit digits; 10^-(limit-1) has a limit-digit
+        # denominator.  Both print; one more power of ten does not.
+        for text in (f"1e{limit - 1}", f"-1.5e{limit - 1}", f"1e-{limit - 1}", "0e5"):
+            format_rational(parse_rational(text))
+            str(parse_rational(text))
+        for text in (f"1e{limit}", f"1e-{limit}", f"1{'0' * limit}e0", "0e99999"):
+            with pytest.raises(SchemaError, match="too large"):
+                parse_rational(text)
+
+    @pytest.mark.parametrize("literal", ["1e10000000", "-1e-10000000", "0e10000000"])
+    def test_huge_exponent_rejected_quickly(self, literal):
+        bare = json.dumps(base_doc()).replace('"theta": [1]', f'"theta": [{literal}]')
+        quoted = json.dumps(base_doc()).replace('"theta": [1]', f'"theta": ["{literal}"]')
+        for text in (bare, quoted):
+            started = time.perf_counter()
+            with pytest.raises(DocumentError) as excinfo:
+                parse_document(text)
+            assert time.perf_counter() - started < 1.0
+            (diagnostic,) = excinfo.value.diagnostics
+            assert diagnostic.path == "$.scenario.theta[0]"
+            assert "too large" in diagnostic.message
 
 
 class TestDocumentShape:
@@ -452,6 +480,29 @@ class TestInteractionValidation:
             )
         ]
         expect_error(obj, "utilization_added[0].output", "unknown functioning id")
+
+    def test_delta_added_patterns_each_diagnosed(self):
+        obj = base_doc()
+        obj["interactions"] = [
+            _interaction_obj(
+                deltas={
+                    "utilization_added": [
+                        {"pattern_id": "f_1", "resource_id": "x0", "output": "b_ghost"},
+                        {"pattern_id": "f_2", "resource_id": "x0", "output": "b_a"},
+                        {"pattern_id": "f_2", "resource_id": "x0", "output": "b_b"},
+                        {"pattern_id": "f_3", "resource_id": "x0", "output": "b_gone"},
+                    ]
+                }
+            )
+        ]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj)
+        added = "$.interactions[0].deltas.utilization_added"
+        assert [d.path for d in excinfo.value.diagnostics] == [
+            f"{added}[0].output",
+            f"{added}[2]",
+            f"{added}[3].output",
+        ]
 
     def test_delta_added_resource_reference_deferred(self):
         # The added pattern's resource may come from an earlier trace step,

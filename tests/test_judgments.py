@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from capkit.judgments.improvement import (
     condition1,
     condition2,
     improves,
+    unmatched,
 )
 from capkit.judgments.records import (
     InteractionDeltas,
@@ -176,6 +178,24 @@ class TestImproves:
     def test_accepts_valuation_map(self):
         v = _table("v", {"a": (1,), "b": (2,)})
         assert improves([_fv("a", 0)], [_fv("b", 1)], v)
+
+    @pytest.mark.parametrize("separate_after", [False, True])
+    @pytest.mark.parametrize("theta", [None, (F(1), F(1))])
+    def test_each_image_computed_at_most_once(self, theta, separate_after):
+        calls = Counter()
+
+        def counted(fv):
+            calls[fv.id] += 1
+            return fv.values
+
+        s = [_fv("a", 0, 0), _fv("b", 1, 0)]
+        s_prime = [_fv("c", 1, 1), _fv("d", 0, 1), _fv("e", 2, 0)]
+        w_after = counted if separate_after else None
+        assert improves(s, s_prime, counted, w_after, theta=theta)
+        assert max(calls.values()) == 1
+        calls.clear()
+        assert unmatched(s, s_prime, counted, counted) == []
+        assert max(calls.values()) == 1
 
 
 class TestCondition1:
@@ -401,11 +421,10 @@ class TestAssistance:
 
     def test_life_plans_requires_changed_freedom(self):
         # Identical option values under different ids: no real change, no
-        # assistance, regardless of the guard flag.
+        # assistance.  The definition demands Q' ≠ Q, so no flag lifts this.
         before = _scn([_fv("m", 1)], v={"m": (1, 1)}, r={"m": (1,)}, theta=(1,))
         after = _scn([_fv("m9", 1)], v={"m9": (1, 1)}, r={"m9": (1,)}, theta=(1,))
         assert not assistance_life_plans(before, after)
-        assert not assistance_life_plans(before, after, require_change=False)
 
     def test_life_plans_aspiration_threshold_changes_the_answer(self):
         # v(m)=(0,3) vs v(m2)=(2,0) are Pareto-incomparable, but with the

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import genlib
+from capkit import oracle
 from capkit.errors import SchemaError
 from capkit.model.order import dominates, sat_set, strictly_dominates, theta_prefers
 
@@ -172,3 +175,28 @@ class TestThetaPreference:
     def test_length_mismatch(self):
         with pytest.raises(SchemaError):
             theta_prefers((F(1),), (F(1),), (F(1), F(1)), strict=False)
+
+
+class TestThetaPreferenceReduction:
+    """The reduced forms in ``theta_prefers`` against the raw definitions,
+    on vectors over the acceptance suite's rational pool."""
+
+    def test_matches_oracle_definitions(self):
+        rng = random.Random(1103)
+        sat_only = pareto = 0
+        for dim in range(1, 9):
+            for _ in range(2000):
+                a = genlib.vector(rng, dim)
+                if rng.random() < 0.5:
+                    b = genlib.vector(rng, dim)
+                else:  # weakly below a, so dominance is often exercised
+                    b = tuple(x - rng.choice((F(0), F(1, 2), F(1))) for x in a)
+                theta = genlib.vector(rng, dim)
+                strict = oracle._theta_strict(a, b, theta)
+                assert theta_prefers(a, b, theta, strict=False) == oracle._theta_weak(a, b, theta)
+                assert theta_prefers(a, b, theta, strict=True) == strict
+                if strict and not strictly_dominates(a, b):
+                    sat_only += 1
+                elif strict:
+                    pareto += 1
+        assert sat_only > 100 and pareto > 100  # both strict clauses exercised
