@@ -43,11 +43,26 @@ def _oversized(text: str) -> bool:
     return len((whole + frac).lstrip("0")) + max(k, 0) > limit or -k >= limit
 
 
+# Diagnostics echo at most this many characters of a literal.
+_ECHO_CHARS = 40
+
+
+def _echo(text: str) -> str:
+    """The literal quoted for a diagnostic: whole when short, else a prefix
+    and its length, so one huge literal cannot flood the error output."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 class OversizedLiteral:
     """A JSON number past the digit limit, left for parse_rational to reject."""
 
     def __init__(self, text: str):
         self.text = text
+
+    def __repr__(self) -> str:
+        return _echo(self.text)
 
 
 def json_decimal(text: str):
@@ -55,14 +70,24 @@ def json_decimal(text: str):
     return OversizedLiteral(text) if _oversized(text) else Fraction(text)
 
 
+def json_integer(text: str):
+    """``parse_int`` hook for JSON: an int, or an :class:`OversizedLiteral`
+    when the literal has more digits than the int-to-string limit."""
+    try:
+        return int(text)
+    except ValueError:
+        return OversizedLiteral(text)
+
+
 def parse_rational(raw) -> Fraction:
     """Turn a wire-format literal into a Fraction.
 
     Accepts Python ints, Fractions (passed through), and strings in integer,
     decimal, or ``p/q`` form.  Rejects floats (inexact), zero denominators,
-    non-finite spellings such as ``nan`` or ``inf``, and decimal literals
-    (strings or :class:`OversizedLiteral` JSON numbers) whose value would
-    not print within the interpreter's int-to-string digit limit.
+    non-finite spellings such as ``nan`` or ``inf``, and literals (strings
+    or :class:`OversizedLiteral` JSON numbers) whose value would not print
+    within the interpreter's int-to-string digit limit.  A diagnostic
+    echoes at most a bounded prefix of the literal.
     """
     if isinstance(raw, Fraction):
         return raw
@@ -81,16 +106,16 @@ def parse_rational(raw) -> Fraction:
         text = raw.strip()
         if _oversized(text):
             raise SchemaError(
-                f"rational literal {text!r} is too large: its numerator or "
+                f"rational literal {_echo(text)} is too large: its numerator or "
                 f"denominator would exceed {_int_max_str_digits()} digits"
             )
         try:
             value = Fraction(text)
         except ZeroDivisionError:
-            raise SchemaError(f"zero denominator in rational literal {raw!r}") from None
+            raise SchemaError(f"zero denominator in rational literal {_echo(raw)}") from None
         except (ValueError, OverflowError):
             raise SchemaError(
-                f"malformed rational literal {raw!r}; expected an integer, "
+                f"malformed rational literal {_echo(raw)}; expected an integer, "
                 "a decimal, or 'p/q'"
             ) from None
         return value

@@ -49,7 +49,7 @@ from .model.types import (
     UtilizationEntry,
     ValuationMap,
 )
-from .rationals import format_rational, json_decimal, parse_rational
+from .rationals import format_rational, json_decimal, json_integer, parse_rational
 
 FORMAT_VERSION = 1
 
@@ -109,12 +109,39 @@ def _reject_constant(name):
     raise ValueError(f"non-finite literal {name}")
 
 
+# Raw literal types whose parse is cached.  The type is part of every key:
+# True == 1 hashes like 1, so a key by value alone would let a boolean skip
+# its rejection.
+_INTERNED = frozenset({str, int})
+
+
+def _equal_value_pairs(functionings) -> list[tuple[str, str]]:
+    """(first id, later id) for each functioning whose values equal those
+    of an earlier one in the list."""
+    first: dict[tuple, str] = {}
+    pairs = []
+    for fv in functionings:
+        prior = first.setdefault(fv.values, fv.id)
+        if prior != fv.id:
+            pairs.append((prior, fv.id))
+    return pairs
+
+
 class _Parser:
-    """Accumulates located diagnostics while walking the document tree."""
+    """Accumulates located diagnostics while walking the document tree.
+
+    A document repeats a few distinct literals and vectors many times, so
+    each is parsed once: successful parses are cached per parser, keyed by
+    raw type and value (failures are not cached, so every bad literal gets
+    its own located diagnostic).  Fractions and tuples are immutable, so
+    sharing them is safe.
+    """
 
     def __init__(self, lenient: bool):
         self.lenient = lenient
         self.diagnostics: list[Diagnostic] = []
+        self._rationals: dict[tuple, Fraction] = {}
+        self._vectors: dict[tuple, tuple] = {}
 
     # -- diagnostics -------------------------------------------------------
 
@@ -155,11 +182,18 @@ class _Parser:
         return value
 
     def rational(self, value, path) -> Optional[Fraction]:
+        key = (type(value), value) if type(value) in _INTERNED else None
+        rat = self._rationals.get(key)
+        if rat is not None:
+            return rat
         try:
-            return parse_rational(value)
+            rat = parse_rational(value)
         except SchemaError as exc:
             self.error(path, str(exc))
             return None
+        if key is not None:
+            self._rationals[key] = rat
+        return rat
 
     def require(self, obj: dict, key: str, path: str):
         if key not in obj:
@@ -183,16 +217,24 @@ class _Parser:
         arr = self.array(value, path)
         if arr is None:
             return None
-        out = []
-        for i, item in enumerate(arr):
-            rat = self.rational(item, f"{path}[{i}]")
-            if rat is None:
-                return None
-            out.append(rat)
+        # Exact str and int items compare equal only to their own kind, so
+        # the raw tuple is a safe key once every item is one of them.
+        key = tuple(arr) if {*map(type, arr)} <= _INTERNED else None
+        out = self._vectors.get(key)
+        if out is None:
+            items = []
+            for i, item in enumerate(arr):
+                rat = self.rational(item, f"{path}[{i}]")
+                if rat is None:
+                    return None
+                items.append(rat)
+            out = tuple(items)
+            if key is not None:
+                self._vectors[key] = out
         if length is not None and len(out) != length:
             self.error(path, f"expected {length} components, got {len(out)}")
             return None
-        return tuple(out)
+        return out
 
     def named_rationals(self, value, path) -> Optional[dict]:
         obj = self.obj(value, path)
@@ -530,6 +572,7 @@ class _Parser:
         out = {}
         ok = True
         codomains = {"v": "P", "r": "E", "u": "U"}
+        same_values = _equal_value_pairs(functionings)
         for map_id in ("v", "r", "u"):
             if map_id not in obj:
                 if map_id == "u":
@@ -552,6 +595,7 @@ class _Parser:
                 len(schemas[space]),
                 len(schemas["B"]),
                 functionings,
+                same_values,
             )
             if parsed is None:
                 ok = False
@@ -560,8 +604,11 @@ class _Parser:
         return out if ok else None
 
     def valuation_map(
-        self, value, path, map_id, codomain_len, domain_len, functionings
+        self, value, path, map_id, codomain_len, domain_len, functionings, same_values
     ) -> Optional[ValuationMap]:
+        """``same_values`` is ``_equal_value_pairs(functionings)``: a table
+        must give each such pair equal images, or the map is not a function
+        of the functioning itself."""
         obj = self.obj(value, path)
         if obj is None:
             return None
@@ -599,19 +646,14 @@ class _Parser:
                     ok = False
             if not ok:
                 return None
-            # Equal-valued functionings must agree, or the map is not a
-            # function of the functioning itself.
-            by_value: dict[tuple, str] = {}
-            for fv in functionings:
-                prior = by_value.get(fv.values)
-                if prior is not None and entries[prior] != entries[fv.id]:
+            for prior, fid in same_values:
+                if entries[prior] != entries[fid]:
                     self.error(
                         f"{path}.entries",
-                        f"functionings {prior!r} and {fv.id!r} have equal values "
+                        f"functionings {prior!r} and {fid!r} have equal values "
                         f"but different {map_id!r} images",
                     )
                     ok = False
-                by_value.setdefault(fv.values, fv.id)
             if not ok:
                 return None
             return ValuationMap(map_id=map_id, form="table", entries=entries)
@@ -747,6 +789,7 @@ class _Parser:
                 len(scenario.schemas["P"]),
                 len(scenario.schemas["B"]),
                 scenario.functionings,
+                _equal_value_pairs(scenario.functionings),
             )
 
         believed = None
@@ -1000,6 +1043,7 @@ def parse_document(
         raw = json.loads(
             text,
             parse_float=json_decimal,
+            parse_int=json_integer,
             parse_constant=_reject_constant,
             object_pairs_hook=_pairs_hook,
         )

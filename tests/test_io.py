@@ -182,6 +182,122 @@ class TestRationalLiterals:
             assert diagnostic.path == "$.scenario.theta[0]"
             assert "too large" in diagnostic.message
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_oversized_integer_literal_located(self, sign):
+        limit = sys.get_int_max_str_digits()
+        literal = sign + "1" + "0" * limit
+        text = json.dumps(base_doc()).replace('"theta": [1]', f'"theta": [{literal}]')
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(text)
+        (diagnostic,) = excinfo.value.diagnostics
+        assert diagnostic.path == "$.scenario.theta[0]"
+        assert "too large" in diagnostic.message
+        # Elsewhere the literal is echoed by value, never as an object repr.
+        text = '{"format_version": %s}' % literal
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DocumentError) as excinfo:
+                parse_document(text)
+            messages.append([str(d) for d in excinfo.value.diagnostics])
+        assert messages[0] == messages[1]
+        assert "unsupported format_version" in messages[0][0]
+        assert "object at" not in messages[0][0]
+
+    @pytest.mark.parametrize(
+        "text, quoted, message",
+        [
+            ("1" + "0" * 4400, True, "too large"),
+            ("1" + "0" * 4400, False, "too large"),
+            ("x" * 4401, True, "malformed rational"),
+            ("1/" + "0" * 99, True, "zero denominator"),
+        ],
+        ids=["quoted-integer", "bare-integer", "malformed", "zero-denominator"],
+    )
+    def test_echoed_literal_is_truncated(self, text, quoted, message, tmp_path, capsys):
+        import capkit.cli as cli
+
+        literal = json.dumps(text) if quoted else text
+        path = tmp_path / "doc.json"
+        path.write_text(
+            json.dumps(base_doc()).replace('"theta": [1]', f'"theta": [{literal}]')
+        )
+        assert cli.main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert f"({len(text)} characters)" in err
+        assert max(len(line) for line in err.splitlines()) < 250
+
+
+class TestParseCache:
+    """Each distinct literal and vector is parsed once per document; the
+    cache must never let a bad literal through or swallow a diagnostic."""
+
+    def test_boolean_after_equal_int_still_rejected(self):
+        obj = base_doc()
+        obj["scenario"]["resource_schema"] = [{"name": "stuff"}, {"name": "time"}]
+        obj["scenario"]["resources"] = [
+            {"id": "x0", "values": [1, 1]},
+            {"id": "x1", "values": [1, True]},
+        ]
+        obj["scenario"]["social"] = {"support": 1, "kin": True}
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj)
+        assert [(d.path, "boolean" in d.message) for d in excinfo.value.diagnostics] == [
+            ("$.scenario.resources[1].values[1]", True),
+            ("$.scenario.social.kin", True),
+        ]
+
+    def test_repeated_bad_literal_diagnosed_at_each_path(self):
+        obj = base_doc()
+        obj["scenario"]["resources"] = [
+            {"id": "x0", "values": ["one"]},
+            {"id": "x1", "values": ["one"]},
+        ]
+        obj["scenario"]["characteristics"] = {"skill": "one"}
+        obj["scenario"]["social"] = {"support": "one"}
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj)
+        diagnostics = excinfo.value.diagnostics
+        assert [d.path for d in diagnostics] == [
+            "$.scenario.resources[0].values[0]",
+            "$.scenario.resources[1].values[0]",
+            "$.scenario.characteristics.skill",
+            "$.scenario.social.support",
+        ]
+        assert all("malformed rational literal 'one'" in d.message for d in diagnostics)
+
+    def _equal_spellings_doc(self, v_image_of_c):
+        obj = base_doc()
+        scenario = obj["scenario"]
+        scenario["functionings"] = [
+            {"id": "b_a", "values": ["1/2"]},
+            {"id": "b_b", "values": ["0.5"]},
+            {"id": "b_c", "values": ["2/4"]},
+        ]
+        scenario["utilization"] = [
+            {"pattern_id": f"f_{fid}", "resource_id": "x0", "output": f"b_{fid}"}
+            for fid in "abc"
+        ]
+        scenario["maps"]["v"]["entries"] = {"b_a": [1], "b_b": ["1"], "b_c": v_image_of_c}
+        scenario["maps"]["r"]["entries"] = {"b_a": [1], "b_b": [1], "b_c": [1]}
+        return obj
+
+    def test_equal_spellings_parse_equal_and_dedupe(self):
+        from capkit.model.types import dedupe_by_value
+
+        doc, _ = parse_obj(self._equal_spellings_doc([1]))
+        functionings = doc.scenario.functionings
+        assert {fv.values for fv in functionings} == {(F(1, 2),)}
+        assert [fv.id for fv in dedupe_by_value(functionings).values()] == ["b_a"]
+
+    def test_equal_spellings_trip_image_check(self):
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(self._equal_spellings_doc([2]))
+        assert [str(d) for d in excinfo.value.diagnostics] == [
+            "error: $.scenario.maps.v.entries: functionings 'b_a' and 'b_c' have "
+            "equal values but different 'v' images"
+        ]
+
 
 class TestDocumentShape:
     def test_not_json(self):
@@ -503,6 +619,28 @@ class TestInteractionValidation:
             f"{added}[2]",
             f"{added}[3].output",
         ]
+
+    def test_estimate_image_consistency(self):
+        obj = base_doc()
+        obj["scenario"]["functionings"][1]["values"] = [1]  # same as b_a
+        obj["scenario"]["maps"]["v"]["entries"]["b_b"] = [1]
+        obj["interactions"] = [
+            _interaction_obj(
+                actor_estimate_of_target_values={
+                    "form": "table",
+                    "entries": {"b_a": [1], "b_b": [5]},
+                }
+            )
+        ]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj)
+        assert [str(d) for d in excinfo.value.diagnostics] == [
+            "error: $.interactions[0].actor_estimate_of_target_values.entries: "
+            "functionings 'b_a' and 'b_b' have equal values but different 'v' images"
+        ]
+        obj["interactions"][0]["actor_estimate_of_target_values"]["entries"]["b_b"] = [1]
+        doc, _ = parse_obj(obj)
+        assert doc.interactions[0].actor_estimate_of_target_values.entries["b_b"] == (F(1),)
 
     def test_delta_added_resource_reference_deferred(self):
         # The added pattern's resource may come from an earlier trace step,
