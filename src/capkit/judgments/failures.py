@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..errors import IncompleteRecordError
-from ..model.freedom import access_profile, compute_freedom, compute_real_freedom, maximal_plans
+from ..model.freedom import (
+    access_profile,
+    compute_freedom,
+    compute_real_freedom,
+    maximal_plans,
+    maximal_transient,
+)
 from ..model.frontier import maximal_set
 from ..model.order import dominates
 from ..model.types import FunctioningVector, Scenario, value_set
@@ -184,9 +190,10 @@ def detect_coercion(
         return None
     threat = rec.threat_scenario
 
-    # Freedoms with no weakly-as-good counterpart in the threatened world.
-    q_before, q_threat = compute_freedom(before), compute_freedom(threat)
-    v_witnesses = unmatched(q_before, q_threat, before.v.apply, threat.v.apply)
+    # Freedoms with no weakly-as-good counterpart in the threatened world,
+    # searched over its frontier under the same valuation.
+    q_before = compute_freedom(before)
+    v_witnesses = unmatched(q_before, maximal_plans(threat), before.v.apply, threat.v.apply)
 
     profile_before = access_profile(before)
     profile_threat = access_profile(threat)
@@ -199,7 +206,9 @@ def detect_coercion(
         compute_real_freedom(threat)
     )
 
-    u_witnesses = unmatched(q_before, q_threat, before.u.apply, threat.u.apply)
+    u_witnesses = unmatched(
+        q_before, maximal_transient(threat), before.u.apply, threat.u.apply
+    )
 
     if not v_witnesses and not dropped_dims and not joint_drop and not u_witnesses:
         return None
@@ -278,7 +287,7 @@ def detect_deception(
     true_by_value = {fv.values: fv for fv in after.functionings}
     q_true_values = value_set(q_true)
     present = [true_by_value[b.values] for b in m_believed if b.values in true_by_value]
-    unmatched_values = value_set(unmatched(present, q_true, after.v.apply, after.v.apply))
+    unmatched_values = value_set(unmatched(present, m_true, after.v.apply, after.v.apply))
     serious_items = []
     for bhat in m_believed:
         counterpart = true_by_value.get(bhat.values)

@@ -15,6 +15,24 @@ The threshold-sensitive variants used by the assistance judgments need no
 relation of their own for the ∀∃ clause: a ⪰ b implies sat(a) ⊇ sat(b), so
 the weak threshold preference is Pareto dominance.  Only the strict ∃∃
 clause changes, to a ≻ b or sat(a) ⊋ sat(b).
+
+Every quantifier is evaluated over Pareto frontiers, each taken under the
+valuation of its own side: M(S) under w and M(S') under the after-valuation.
+This is exact.  In a finite set every element is weakly dominated by some
+maximal one, and ⪰ is transitive, so:
+
+* an element of S' that weakly dominates b can be replaced by a maximal
+  a* ⪰ it, so the ∀∃ clause holds on S × S' iff it holds on S × M(S'),
+  and likewise S may shrink to M(S): any b ∈ S lies under a maximal
+  element, which is matched;
+* the strict ∃∃ clause holds on S × S' iff it holds on S × M(S'):
+  a* ⪰ b' ≻ b gives a* ≻ b, and sat(a*) ⊇ sat(b') ⊋ sat(b) keeps the
+  strict threshold preference.  S stays whole here, because a non-maximal
+  b is the easier one to beat.
+
+The same replacement lets every ∀∃ scan (:func:`unmatched`) search M(S')
+instead of S'.  Its S side stays whole wherever the unmatched elements
+themselves are reported.  The oracle keeps the raw formulas.
 """
 
 from __future__ import annotations
@@ -23,10 +41,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from ..model.freedom import AccessProfile, access_profile, compute_freedom, compute_real_freedom, maximal_plans
-from ..model.frontier import Valuation, as_applier
+from ..model.freedom import (
+    AccessProfile,
+    access_profile,
+    compute_freedom,
+    compute_real_freedom,
+    maximal_plans,
+    maximal_real_freedom,
+    maximal_transient,
+)
+from ..model.frontier import Valuation, as_applier, maximal_indices
 from ..model.order import dominates, strictly_dominates, theta_prefers
-from ..model.types import FunctioningVector, Scenario, value_set
+from ..model.types import FunctioningVector, Scenario, ValuationMap, value_set
 
 Image = Callable[[FunctioningVector], Sequence[Fraction]]
 
@@ -38,7 +64,11 @@ def unmatched(
     img_after: Image,
 ) -> list[FunctioningVector]:
     """Members b of S with no b' in S' such that img_after(b') ⪰ img_before(b):
-    the counterexamples to the universal clause ∀b∈S ∃b'∈S'."""
+    the counterexamples to the universal clause ∀b∈S ∃b'∈S'.
+
+    Passing M(S') under img_after as ``s_prime`` gives the same list, since
+    any b' ⪰ b lies under some maximal a* ⪰ b.  The engine does so.
+    """
     after_images = [img_after(bp) for bp in s_prime]
     out = []
     for b in s_set:
@@ -46,6 +76,21 @@ def unmatched(
         if not any(dominates(img, target) for img in after_images):
             out.append(b)
     return out
+
+
+def _clauses_hold(
+    before: Sequence[Sequence[Fraction]],
+    m_before: Sequence[Sequence[Fraction]],
+    m_after: Sequence[Sequence[Fraction]],
+    theta: Optional[Sequence[Fraction]],
+) -> bool:
+    """The ∀∃ clause over M(S) × M(S') and the strict ∃∃ clause over
+    S × M(S'), on images: all of S, and the two frontiers."""
+    if not all(any(dominates(a, t) for a in m_after) for t in m_before):
+        return False
+    if theta is None:
+        return any(strictly_dominates(a, t) for t in before for a in m_after)
+    return any(theta_prefers(a, t, theta, strict=True) for t in before for a in m_after)
 
 
 def improves(
@@ -62,7 +107,9 @@ def improves(
     S is valued under w and S' under ``w_after`` (w when omitted).  The
     strict ∃∃ clause uses Pareto ≻, or the strict threshold preference when
     ``theta`` is given; the ∀∃ clause is Pareto ⪰ either way.  Each image is
-    computed once.  Empty S is never improved on: the universal clause is
+    computed once, and the frontiers M(S) and M(S') are found from those
+    images; the clauses are then checked on them as the module docstring
+    sets out.  Empty S is never improved on: the universal clause is
     vacuous but the existential clause has nothing to witness.
     """
     if require_change and value_set(s_set) == value_set(s_prime):
@@ -71,11 +118,52 @@ def improves(
     img_after = img_before if w_after is None else as_applier(w_after)
     before = [img_before(b) for b in s_set]
     after = [img_after(bp) for bp in s_prime]
-    if not all(any(dominates(a, t) for a in after) for t in before):
+    return _clauses_hold(
+        before,
+        [before[i] for i in maximal_indices(before)],
+        [after[i] for i in maximal_indices(after)],
+        theta,
+    )
+
+
+# A side of a comparison: a set, its frontier under the side's valuation,
+# and that valuation.  The frontiers come from the per-scenario cache.
+_Side = tuple[Sequence[FunctioningVector], Sequence[FunctioningVector], ValuationMap]
+
+
+def _q_under_u(s: Scenario) -> _Side:
+    return compute_freedom(s), maximal_transient(s), s.u
+
+
+def _q_star_under_r(s: Scenario) -> _Side:
+    return compute_real_freedom(s), maximal_real_freedom(s), s.r
+
+
+def _q_under_v(s: Scenario) -> _Side:
+    return compute_freedom(s), maximal_plans(s), s.v
+
+
+def _m_under_v(s: Scenario) -> _Side:
+    return maximal_plans(s), maximal_plans(s), s.v
+
+
+def _side_improves(
+    before: _Side,
+    after: _Side,
+    *,
+    theta: Optional[Sequence[Fraction]] = None,
+    require_change: bool = True,
+) -> bool:
+    """:func:`improves` between two scenario sides, on their cached frontiers."""
+    (s_set, m_s, w), (s_prime, m_s_prime, w_after) = before, after
+    if require_change and value_set(s_set) == value_set(s_prime):
         return False
-    if theta is None:
-        return any(strictly_dominates(a, t) for t in before for a in after)
-    return any(theta_prefers(a, t, theta, strict=True) for t in before for a in after)
+    return _clauses_hold(
+        [w.apply(b) for b in s_set],
+        [w.apply(b) for b in m_s],
+        [w_after.apply(b) for b in m_s_prime],
+        theta,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +281,11 @@ class Condition2Result:
 def condition2(before: Scenario, after: Scenario) -> Condition2Result:
     """Every v-maximal option must keep a weakly-as-good successor.
 
-    ∀b ∈ M(Q_before, v): ∃b' ∈ Q_after with v(b') ⪰ v(b).
+    ∀b ∈ M(Q_before, v): ∃b' ∈ Q_after with v(b') ⪰ v(b), searched over
+    M(Q_after, v).
     """
     m_before = maximal_plans(before)
-    missing = unmatched(m_before, compute_freedom(after), before.v.apply, after.v.apply)
+    missing = unmatched(m_before, maximal_plans(after), before.v.apply, after.v.apply)
     if missing:
         evidence = tuple(
             {
@@ -244,26 +333,14 @@ def classify_beneficence(
     before: Scenario, after: Scenario, *, require_change: bool = True
 ) -> BeneficenceFlags:
     return BeneficenceFlags(
-        weak=improves(
-            compute_freedom(before),
-            compute_freedom(after),
-            before.u,
-            after.u,
-            require_change=require_change,
+        weak=_side_improves(
+            _q_under_u(before), _q_under_u(after), require_change=require_change
         ),
-        real_freedom=improves(
-            compute_real_freedom(before),
-            compute_real_freedom(after),
-            before.r,
-            after.r,
-            require_change=require_change,
+        real_freedom=_side_improves(
+            _q_star_under_r(before), _q_star_under_r(after), require_change=require_change
         ),
-        life_plan=improves(
-            maximal_plans(before),
-            maximal_plans(after),
-            before.v,
-            after.v,
-            require_change=require_change,
+        life_plan=_side_improves(
+            _m_under_v(before), _m_under_v(after), require_change=require_change
         ),
     )
 
@@ -273,11 +350,9 @@ def assistance_real_freedom(
 ) -> bool:
     """Assistance through real freedom: Q* improves under the
     threshold-sensitive preference over r-images."""
-    return improves(
-        compute_real_freedom(before),
-        compute_real_freedom(after),
-        before.r,
-        after.r,
+    return _side_improves(
+        _q_star_under_r(before),
+        _q_star_under_r(after),
         theta=before.theta.values,
         require_change=require_change,
     )
@@ -297,11 +372,9 @@ def assistance_life_plans(before: Scenario, after: Scenario) -> bool:
     """
     if value_set(compute_freedom(before)) == value_set(compute_freedom(after)):
         return False
-    return improves(
-        maximal_plans(before),
-        compute_freedom(after),
-        before.v,
-        after.v,
+    return _side_improves(
+        _m_under_v(before),
+        _q_under_v(after),
         theta=None if before.theta_p is None else before.theta_p.values,
         require_change=False,  # the Q' ≠ Q requirement above already holds
     )

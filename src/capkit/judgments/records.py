@@ -61,6 +61,17 @@ class InteractionRecord:
     threat_scenario: Optional[Scenario] = None
 
 
+def _removal_set(ids: tuple[str, ...], present: set[str], unknown: str) -> set[str]:
+    """The ids to remove, in one pass.  An id not present, or listed a
+    second time (its first listing removed it), raises ``unknown`` + id."""
+    removed: set[str] = set()
+    for item in ids:
+        if item not in present or item in removed:
+            raise DeltaError(f"{unknown} {item!r}")
+        removed.add(item)
+    return removed
+
+
 def apply_interaction(s: Scenario, rec: InteractionRecord) -> Scenario:
     """Produce the post-interaction scenario from declared deltas.
 
@@ -72,14 +83,12 @@ def apply_interaction(s: Scenario, rec: InteractionRecord) -> Scenario:
     """
     d = rec.deltas
 
-    resources = list(s.resources)
-    for rid in d.resources_removed:
-        match = [res for res in resources if res.id == rid]
-        if not match:
-            raise DeltaError(
-                f"interaction {rec.id!r} removes unknown resource {rid!r}"
-            )
-        resources.remove(match[0])
+    removed = _removal_set(
+        d.resources_removed,
+        {res.id for res in s.resources},
+        f"interaction {rec.id!r} removes unknown resource",
+    )
+    resources = [res for res in s.resources if res.id not in removed]
     surviving_ids = {res.id for res in resources}
     for res in d.resources_added:
         if res.id in surviving_ids:
@@ -110,16 +119,17 @@ def apply_interaction(s: Scenario, rec: InteractionRecord) -> Scenario:
             )
         social[name] = social[name] + offset
 
-    utilization = list(s.utilization)
-    for pid in d.utilization_removed:
-        match = [u for u in utilization if u.pattern_id == pid]
-        if not match:
-            raise DeltaError(
-                f"interaction {rec.id!r} removes unknown utilization pattern {pid!r}"
-            )
-        utilization.remove(match[0])
+    removed = _removal_set(
+        d.utilization_removed,
+        {u.pattern_id for u in s.utilization},
+        f"interaction {rec.id!r} removes unknown utilization pattern",
+    )
     # Entries whose resource was just removed are disabled alongside it.
-    utilization = [u for u in utilization if u.resource_id in surviving_ids]
+    utilization = [
+        u
+        for u in s.utilization
+        if u.pattern_id not in removed and u.resource_id in surviving_ids
+    ]
     existing_patterns = {u.pattern_id for u in utilization}
     for entry in d.utilization_added:
         if entry.pattern_id in existing_patterns:

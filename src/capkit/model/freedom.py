@@ -1,4 +1,9 @@
-"""Freedom sets, real freedom, maximal plans, and the entitlement access profile."""
+"""Freedom sets, real freedom, maximal plans, and the entitlement access profile.
+
+Besides M(Q) under v (the maximal plans), each scenario caches the two
+other frontiers the improvement quantifiers reduce to: M(Q) under u and
+M(Q*) under r.
+"""
 
 from __future__ import annotations
 
@@ -59,6 +64,18 @@ def compute_real_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
 def maximal_plans(s: Scenario) -> tuple[FunctioningVector, ...]:
     """The maximal set M: members of Q whose v-image nothing in Q strictly beats."""
     return maximal_set(compute_freedom(s), s.v)
+
+
+@_per_scenario
+def maximal_transient(s: Scenario) -> tuple[FunctioningVector, ...]:
+    """M(Q) under the transient valuation u."""
+    return maximal_set(compute_freedom(s), s.u)
+
+
+@_per_scenario
+def maximal_real_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
+    """M(Q*) under r: members of Q* whose r-image nothing in Q* strictly beats."""
+    return maximal_set(compute_real_freedom(s), s.r)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,18 @@ def _oversized(text: str) -> bool:
     return len((whole + frac).lstrip("0")) + max(k, 0) > limit or -k >= limit
 
 
+def exceeds_digit_limit(value: Fraction) -> bool:
+    """Would the numerator or denominator of ``value`` print with more digits
+    than the interpreter's int-to-string limit?  Sized by ``bit_length``:
+    2^(3·limit) < 10^limit, so up to 3·limit bits always fit, and only a
+    longer integer is compared with 10^limit.  No string is built."""
+    limit = _int_max_str_digits()
+    return bool(limit) and any(
+        n.bit_length() > 3 * limit and abs(n) >= 10**limit
+        for n in (value.numerator, value.denominator)
+    )
+
+
 # Diagnostics echo at most this many characters of a literal.
 _ECHO_CHARS = 40
 

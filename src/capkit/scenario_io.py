@@ -21,6 +21,7 @@ newline, so equal documents serialize to identical bytes and
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -49,7 +50,13 @@ from .model.types import (
     UtilizationEntry,
     ValuationMap,
 )
-from .rationals import format_rational, json_decimal, json_integer, parse_rational
+from .rationals import (
+    exceeds_digit_limit,
+    format_rational,
+    json_decimal,
+    json_integer,
+    parse_rational,
+)
 
 FORMAT_VERSION = 1
 
@@ -675,7 +682,18 @@ class _Parser:
                 if row is None:
                     return None
                 rows.append(row)
-            return ValuationMap(map_id=map_id, form="linear", matrix=tuple(rows))
+            linear = ValuationMap(map_id=map_id, form="linear", matrix=tuple(rows))
+            # Reports print images, so each must print within the digit limit.
+            for fv in functionings:
+                if any(exceeds_digit_limit(x) for x in linear.apply(fv)):
+                    self.error(
+                        f"{path}.matrix",
+                        f"map {map_id!r} gives functioning {fv.id!r} an image whose "
+                        "numerator or denominator would exceed "
+                        f"{sys.get_int_max_str_digits()} digits",
+                    )
+                    return None
+            return linear
         self.error(f"{path}.form", "valuation map form must be 'table' or 'linear'")
         return None
 
@@ -1031,6 +1049,9 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
+_NON_INTEGER_VERSION = {bool: "a boolean", Fraction: "a decimal"}
+
+
 def parse_document(
     text: str, *, lenient: bool = False
 ) -> tuple[ScenarioDocument, list[Diagnostic]]:
@@ -1071,7 +1092,15 @@ def parse_document(
             obj, {"format_version", "scenario", "interactions", "traces"}, "$"
         )
         version = p.require(obj, "format_version", "$")
-        if version is not None and version != FORMAT_VERSION:
+        # True == 1 and the decimal 1.0 parses to Fraction(1) == 1, so the
+        # type is checked first: the version is the JSON integer 1.
+        kind = _NON_INTEGER_VERSION.get(type(version))
+        if kind is not None:
+            p.error(
+                "$.format_version",
+                f"format_version must be the integer {FORMAT_VERSION}, not {kind}",
+            )
+        elif version is not None and version != FORMAT_VERSION:
             p.error(
                 "$.format_version",
                 f"unsupported format_version {version!r}; this build reads "

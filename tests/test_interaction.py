@@ -23,6 +23,8 @@ from capkit.model.freedom import (
     compute_freedom,
     compute_real_freedom,
     maximal_plans,
+    maximal_real_freedom,
+    maximal_transient,
 )
 from capkit.model.types import (
     Dimension,
@@ -179,7 +181,8 @@ class TestApplyInteraction:
 
     def test_after_scenario_does_not_inherit_derived_sets(self):
         # replace() copies every init field, the derived-set cache included;
-        # the after-scenario must recompute Q, Q*, M and the access profile.
+        # the after-scenario must recompute Q, Q*, the three frontiers and
+        # the access profile.
         rest = UtilizationEntry(
             "f_rest", "x_bike", (Guard("characteristics", "fitness", F(2)),), "b_rest"
         )
@@ -196,13 +199,20 @@ class TestApplyInteraction:
                 ),
             },
         )
-        derived = (compute_freedom, compute_real_freedom, maximal_plans, access_profile)
+        derived = (
+            compute_freedom,
+            compute_real_freedom,
+            maximal_plans,
+            access_profile,
+            maximal_transient,
+            maximal_real_freedom,
+        )
         before = [fn(base) for fn in derived]
         deltas = InteractionDeltas(
             resources_removed=("x_shoes",), characteristics_delta={"fitness": F(1)}
         )
         after = apply_interaction(base, _record(deltas))
-        q, q_star, m, profile = (fn(after) for fn in derived)
+        q, q_star, m, profile, m_u, m_r = (fn(after) for fn in derived)
 
         def ids(vectors):
             return sorted(fv.id for fv in vectors)
@@ -214,6 +224,47 @@ class TestApplyInteraction:
         assert ids(before[2]) == ["b_ride"]
         assert [e.max_value for e in before[3].entries] == [F(2)]
         assert [e.max_value for e in profile.entries] == [F(1)]
+        # u is undeclared, so M(Q) under u is M(Q) under v
+        assert ids(m_u) == ids(oracle.naive_maximal_set(oracle.freedom(after), after.u)) == ["b_rest"]
+        assert ids(m_r) == ids(oracle.naive_maximal_set(oracle.real_freedom(after), after.r)) == ["b_rest"]
+        assert ids(before[4]) == ["b_ride"]
+        assert ids(before[5]) == ["b_walk"]
+
+    def test_survivor_order_is_kept(self):
+        base = replace(
+            _base_scenario(),
+            resources=tuple(
+                ResourceVector(rid, (F(1),)) for rid in ("x_d", "x_a", "x_c", "x_b")
+            ),
+            utilization=tuple(
+                UtilizationEntry(pid, rid, (), "b_walk")
+                for pid, rid in (
+                    ("f_4", "x_c"),
+                    ("f_1", "x_d"),
+                    ("f_3", "x_a"),
+                    ("f_2", "x_b"),
+                    ("f_0", "x_a"),
+                )
+            ),
+        )
+        deltas = InteractionDeltas(
+            resources_removed=("x_c", "x_d"),
+            resources_added=(ResourceVector("x_0", (F(1),)),),
+            utilization_removed=("f_0",),
+            utilization_added=(UtilizationEntry("f_9", "x_0", (), "b_ride"),),
+        )
+        after = apply_interaction(base, _record(deltas))
+        assert [res.id for res in after.resources] == ["x_a", "x_b", "x_0"]
+        assert [u.pattern_id for u in after.utilization] == ["f_3", "f_2", "f_9"]
+
+    def test_remove_pattern_whose_resource_is_removed(self):
+        base = _base_scenario()
+        deltas = InteractionDeltas(
+            resources_removed=("x_bike",), utilization_removed=("f_ride",)
+        )
+        after = apply_interaction(base, _record(deltas))
+        assert [res.id for res in after.resources] == ["x_shoes"]
+        assert [u.pattern_id for u in after.utilization] == ["f_walk"]
 
     def test_surveillance_after_state(self):
         doc, _ = parse_document((FIXTURES / "surveillance.scn").read_text())
@@ -229,6 +280,18 @@ class TestDeltaErrors:
                 _base_scenario(),
                 _record(InteractionDeltas(resources_removed=("x_nope",))),
             )
+
+    def test_duplicate_removal_rejected(self):
+        # The parser rejects a repeated id; a delta built through the API
+        # fails at apply time, as its first listing already removed the id.
+        for deltas, message in (
+            (InteractionDeltas(resources_removed=("x_shoes", "x_shoes")),
+             "removes unknown resource 'x_shoes'"),
+            (InteractionDeltas(utilization_removed=("f_walk", "f_walk")),
+             "removes unknown utilization pattern 'f_walk'"),
+        ):
+            with pytest.raises(DeltaError, match=message):
+                apply_interaction(_base_scenario(), _record(deltas))
 
     def test_add_duplicate_resource(self):
         deltas = InteractionDeltas(

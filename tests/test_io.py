@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import genlib
 from capkit.errors import DocumentError
 from capkit.judgments.records import InteractionDeltas, InteractionRecord
-from capkit.rationals import format_rational, parse_rational
+from capkit.rationals import exceeds_digit_limit, format_rational, parse_rational
 from capkit.scenario_io import (
     Diagnostic,
     ScenarioDocument,
@@ -226,6 +226,62 @@ class TestRationalLiterals:
         assert message in err
         assert f"({len(text)} characters)" in err
         assert max(len(line) for line in err.splitlines()) < 250
+
+
+class TestLinearImageBound:
+    """Linear-map images are bounded by the int-to-string digit limit, since
+    reports print them; the map is rejected at its matrix."""
+
+    def test_exceeds_digit_limit_at_the_boundary(self):
+        limit = sys.get_int_max_str_digits()
+        top = 10**limit  # the smallest integer with limit + 1 digits
+        assert not exceeds_digit_limit(F(top - 1))
+        assert not exceeds_digit_limit(F(-(top - 1)))
+        assert not exceeds_digit_limit(F(1, top - 1))
+        assert not exceeds_digit_limit(F(2 ** (3 * limit)))
+        assert exceeds_digit_limit(F(top))
+        assert exceeds_digit_limit(F(-top, 3))
+        assert exceeds_digit_limit(F(3, top))
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_main_map_image_at_the_limit(self, sign):
+        limit = sys.get_int_max_str_digits()
+        obj = base_doc()
+        obj["scenario"]["functionings"][1]["values"] = ["1e2000"]
+        obj["scenario"]["theta"] = [0]
+        r = obj["scenario"]["maps"]["r"] = {"form": "linear", "matrix": [[f"{sign}1e{limit - 2001}"]]}
+        doc, _ = parse_obj(obj)  # b_b's image has exactly `limit` digits
+        assert len(str(abs(doc.scenario.r.apply(doc.scenario.functioning("b_b"))[0]))) == limit
+        r["matrix"] = [[f"{sign}1e{limit - 2000}"]]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj)
+        assert [str(d) for d in excinfo.value.diagnostics] == [
+            "error: $.scenario.maps.r.matrix: map 'r' gives functioning 'b_b' an "
+            f"image whose numerator or denominator would exceed {limit} digits"
+        ]
+        r["matrix"] = [[f"{sign}1e-{limit - 2000}"]]
+        obj["scenario"]["functionings"][1]["values"] = ["1e-2000"]
+        expect_error(obj, "$.scenario.maps.r.matrix", "would exceed")
+
+    def test_override_and_estimate_maps_bounded(self):
+        obj = base_doc()
+        obj["scenario"]["functionings"][1]["values"] = ["1e4000"]
+        huge = {"form": "linear", "matrix": [["1e4000"]]}
+        threat = copy.deepcopy(obj["scenario"])
+        threat["maps"]["v"] = huge
+        obj["interactions"] = [
+            _interaction_obj(
+                mechanisms=["threat"],
+                threat_scenario=threat,
+                actor_estimate_of_target_values=huge,
+            )
+        ]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj)
+        assert [d.path for d in excinfo.value.diagnostics] == [
+            "$.interactions[0].actor_estimate_of_target_values.matrix",
+            "$.interactions[0].threat_scenario.maps.v.matrix",
+        ]
 
 
 class TestParseCache:

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import genlib
 import pytest
 
 from capkit.errors import IncompleteRecordError, InternalInvariantError
+from capkit.judgments import failures
 from capkit.judgments.failures import (
     detect_coercion,
     detect_deception,
@@ -34,6 +37,13 @@ from capkit.judgments.records import (
     materialize_trace,
 )
 from capkit.judgments.verdict import Verdict, judge
+from capkit.model.freedom import (
+    compute_freedom,
+    compute_real_freedom,
+    maximal_plans,
+    maximal_real_freedom,
+    maximal_transient,
+)
 from capkit.model.types import (
     Dimension,
     DimensionSchema,
@@ -196,6 +206,101 @@ class TestImproves:
         calls.clear()
         assert unmatched(s, s_prime, counted, counted) == []
         assert max(calls.values()) == 1
+
+
+def _naive_unmatched(s_set, s_prime, img_before, img_after):
+    """The ∀∃ counterexamples by a plain scan of the whole of S'."""
+    return [
+        b
+        for b in s_set
+        if not any(
+            all(x >= y for x, y in zip(img_after(bp), img_before(b))) for bp in s_prime
+        )
+    ]
+
+
+class TestFrontierReduction:
+    """The engine searches M(S') where the formulas quantify over S'.
+
+    Each case is checked against a full scan of S' written here, on seeded
+    genlib pairs, table maps and linear ones.  The S side must stay whole:
+    the cases include unmatched elements that are not maximal in S.
+    """
+
+    # (set, its frontier, the valuation the frontier is taken under)
+    SIDES = (
+        (compute_freedom, maximal_plans, "v"),
+        (compute_freedom, maximal_transient, "u"),
+        (compute_real_freedom, maximal_real_freedom, "r"),
+    )
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_unmatched_on_frontier_equals_full_scan(self, linear):
+        reduced = non_maximal = 0
+        for seed in range(300):
+            rng = random.Random((47_000 if linear else 46_000) + seed)
+            before = genlib.scenario(rng, max_vectors=16, linear=linear)
+            after = genlib.successor(rng, before)
+            for full, frontier, map_id in self.SIDES:
+                img_before = getattr(before, map_id).apply
+                img_after = getattr(after, map_id).apply
+                s_set, s_prime, m_prime = full(before), full(after), frontier(after)
+                expected = _naive_unmatched(s_set, s_prime, img_before, img_after)
+                assert unmatched(s_set, m_prime, img_before, img_after) == expected
+                reduced += len(m_prime) < len(s_prime)
+                non_maximal += any(b not in frontier(before) for b in expected)
+        assert reduced >= 300
+        assert non_maximal >= 10
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_coercion_and_deception_match_unreduced(self, linear, monkeypatch):
+        calls = []
+
+        def spy(s_set, s_prime, img_before, img_after):
+            calls.append(unmatched(s_set, s_prime, img_before, img_after))
+            return calls[-1]
+
+        monkeypatch.setattr(failures, "unmatched", spy)
+        threatened = non_maximal = deceived = 0
+        for seed in range(300):
+            rng = random.Random((49_000 if linear else 48_000) + seed)
+            before = genlib.scenario(rng, max_vectors=16, linear=linear)
+            threat, believed, after = (genlib.successor(rng, before) for _ in range(3))
+
+            calls.clear()
+            detect_coercion(
+                before,
+                before,
+                _record(mechanisms=("threat",), actor_has_right=False, threat_scenario=threat),
+            )
+            q, q_threat = compute_freedom(before), compute_freedom(threat)
+            v_expected = _naive_unmatched(q, q_threat, before.v.apply, threat.v.apply)
+            u_expected = _naive_unmatched(q, q_threat, before.u.apply, threat.u.apply)
+            assert calls == [v_expected, u_expected]
+            threatened += bool(v_expected or u_expected)
+            non_maximal += any(b not in maximal_plans(before) for b in v_expected)
+
+            calls.clear()
+            detect_deception(
+                before,
+                after,
+                _record(mechanisms=("misrepresentation",), believed_scenario=believed),
+            )
+            if calls:  # reached only when the believed and true M are disjoint
+                true_by_value = {fv.values: fv for fv in after.functionings}
+                present = [
+                    true_by_value[b.values]
+                    for b in maximal_plans(believed)
+                    if b.values in true_by_value
+                ]
+                q_true = compute_freedom(after)
+                assert calls == [
+                    _naive_unmatched(present, q_true, after.v.apply, after.v.apply)
+                ]
+                deceived += 1
+        assert threatened >= 50
+        assert non_maximal >= 5
+        assert deceived >= 30
 
 
 class TestCondition1:
