@@ -104,7 +104,7 @@ def paternalism_check(
 
     if rec.promoted_outcome is not None:
         promoted = before.functioning(rec.promoted_outcome)
-        clause_a = promoted.values in m_true_values
+        clause_a = promoted.value_key in m_true_values
         evidence.append(
             {
                 "kind": "promoted_outcome",
@@ -118,7 +118,7 @@ def paternalism_check(
             evidence.append(
                 {
                     "kind": "actor_estimate",
-                    "promoted_maximal_under_estimate": promoted.values
+                    "promoted_maximal_under_estimate": promoted.value_key
                     in value_set(m_est),
                 }
             )
@@ -284,13 +284,15 @@ def detect_deception(
     if value_set(m_believed) & value_set(m_true):
         return None
 
-    true_by_value = {fv.values: fv for fv in after.functionings}
+    true_by_value = {fv.value_key: fv for fv in after.functionings}
     q_true_values = value_set(q_true)
-    present = [true_by_value[b.values] for b in m_believed if b.values in true_by_value]
+    present = [
+        true_by_value[b.value_key] for b in m_believed if b.value_key in true_by_value
+    ]
     unmatched_values = value_set(unmatched(present, m_true, after.v.apply, after.v.apply))
     serious_items = []
     for bhat in m_believed:
-        counterpart = true_by_value.get(bhat.values)
+        counterpart = true_by_value.get(bhat.value_key)
         if counterpart is None:
             serious_items.append(
                 {
@@ -300,7 +302,7 @@ def detect_deception(
                 }
             )
             continue
-        if counterpart.values in unmatched_values:
+        if counterpart.value_key in unmatched_values:
             serious_items.append(
                 {
                     "kind": "unmatched_believed_choice",
@@ -309,7 +311,7 @@ def detect_deception(
                     "believed-best choice",
                 }
             )
-        elif counterpart.values in q_true_values and not dominates(
+        elif counterpart.value_key in q_true_values and not dominates(
             after.r.apply(counterpart), after.theta.values
         ):
             serious_items.append(
@@ -416,13 +418,13 @@ def detect_domination(steps: Sequence[MaterializedStep]) -> DominationResult:
     followed = [
         step
         for step in steps
-        if step.target_choice.values == step.actor_desired.values
+        if step.target_choice.value_key == step.actor_desired.value_key
     ]
-    distinct_desires = {step.actor_desired.values for step in followed}
+    distinct_desires = {step.actor_desired.value_key for step in followed}
     off_frontier = []
     for step in followed:
         m_step = maximal_plans(step.after)
-        if step.target_choice.values not in value_set(m_step):
+        if step.target_choice.value_key not in value_set(m_step):
             off_frontier.append((step, m_step))
     if len(followed) >= 2 and len(distinct_desires) >= 2 and off_frontier:
         evidence = [

@@ -33,6 +33,14 @@ maximal one, and ⪰ is transitive, so:
 The same replacement lets every ∀∃ scan (:func:`unmatched`) search M(S')
 instead of S'.  Its S side stays whole wherever the unmatched elements
 themselves are reported.  The oracle keeps the raw formulas.
+
+The clauses compare int tuples, not Fractions.  Every image in one check,
+and θ with them, is put on one scale by
+:func:`~capkit.model.frontier.integer_images`: component k is multiplied by
+the lcm D_k of the denominators in column k, which makes it an exact int.
+Since D_k > 0, x ≥ y iff D_k·x ≥ D_k·y, so ⪰, ≻, equality and the sat
+sets against θ are unchanged.  That holds only when both sides of a
+comparison share D_k, so S, S', their frontiers and θ are scaled together.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from ..model.freedom import (
     maximal_real_freedom,
     maximal_transient,
 )
-from ..model.frontier import Valuation, as_applier, maximal_indices
+from ..model.frontier import Valuation, as_applier, integer_images, maximal_indices
 from ..model.order import dominates, strictly_dominates, theta_prefers
 from ..model.types import FunctioningVector, Scenario, ValuationMap, value_set
 
@@ -69,13 +77,13 @@ def unmatched(
     Passing M(S') under img_after as ``s_prime`` gives the same list, since
     any b' ⪰ b lies under some maximal a* ⪰ b.  The engine does so.
     """
-    after_images = [img_after(bp) for bp in s_prime]
-    out = []
-    for b in s_set:
-        target = img_before(b)
-        if not any(dominates(img, target) for img in after_images):
-            out.append(b)
-    return out
+    before, after = integer_images(
+        [img_before(b) for b in s_set], [img_after(bp) for bp in s_prime]
+    )
+    return [
+        b for b, target in zip(s_set, before)
+        if not any(dominates(img, target) for img in after)
+    ]
 
 
 def _clauses_hold(
@@ -85,11 +93,16 @@ def _clauses_hold(
     theta: Optional[Sequence[Fraction]],
 ) -> bool:
     """The ∀∃ clause over M(S) × M(S') and the strict ∃∃ clause over
-    S × M(S'), on images: all of S, and the two frontiers."""
+    S × M(S'), on images: all of S, and the two frontiers.  θ is put on
+    the images' integer scale with them."""
+    before, m_before, m_after, thetas = integer_images(
+        before, m_before, m_after, () if theta is None else (theta,)
+    )
     if not all(any(dominates(a, t) for a in m_after) for t in m_before):
         return False
     if theta is None:
         return any(strictly_dominates(a, t) for t in before for a in m_after)
+    (theta,) = thetas
     return any(theta_prefers(a, t, theta, strict=True) for t in before for a in m_after)
 
 
@@ -104,7 +117,9 @@ def improves(
 ) -> bool:
     """Does S' improve on S?
 
-    S is valued under w and S' under ``w_after`` (w when omitted).  The
+    S is valued under w and S' under ``w_after`` (w when omitted); image
+    components, and θ's, must be ``numbers.Rational`` (a float raises
+    :class:`ValuationError`, a length mismatch :class:`SchemaError`).  The
     strict ∃∃ clause uses Pareto ≻, or the strict threshold preference when
     ``theta`` is given; the ∀∃ clause is Pareto ⪰ either way.  Each image is
     computed once, and the frontiers M(S) and M(S') are found from those

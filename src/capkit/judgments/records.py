@@ -233,7 +233,7 @@ def materialize_trace(
                     "in the functioning catalog"
                 )
         choice = after.functioning(step.target_choice)
-        if choice.values not in value_set(compute_freedom(after)):
+        if choice.value_key not in value_set(compute_freedom(after)):
             raise TraceError(
                 f"trace {trace.id!r} step {index} target_choice "
                 f"{step.target_choice!r} is not realizable after the step"

@@ -86,11 +86,31 @@ class FunctioningVector:
     expected to produce in the base scenario (they may become reachable
     after an interaction); validators use it to suppress the orphan
     warning.
+
+    ``value_key`` is ``value_key_of(values)``, built at construction unless
+    given; it stands for the values wherever vectors are hashed or compared
+    for equality.  The parser passes one shared key per distinct vector;
+    ``dataclasses.replace`` with new values must pass ``value_key=None``.
     """
 
     id: str
     values: tuple[Fraction, ...]
     unreachable: bool = False
+    value_key: tuple[int, ...] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.value_key is None:
+            object.__setattr__(self, "value_key", value_key_of(self.values))
+
+
+def value_key_of(values) -> tuple[int, ...]:
+    """Rational values as one flat int tuple of (numerator, denominator) pairs.
+
+    A rational in lowest terms with a positive denominator has exactly one
+    such pair, so two keys are equal exactly when the two value tuples are;
+    ints hash and compare far faster than Fractions.
+    """
+    return tuple(n for x in values for n in (x.numerator, x.denominator))
 
 
 @dataclass(frozen=True)
@@ -240,12 +260,6 @@ class Scenario:
     def has_functioning(self, fv_id: str) -> bool:
         return fv_id in self._fv_by_id
 
-    def resource(self, resource_id: str) -> ResourceVector:
-        for res in self.resources:
-            if res.id == resource_id:
-                return res
-        raise SchemaError(f"unknown resource id {resource_id!r}")
-
     def context_value(self, context: str, component: str) -> Fraction:
         vector = self.characteristics if context == "characteristics" else self.social
         try:
@@ -271,24 +285,25 @@ class Scenario:
         return self.maps.get("u", self.maps["v"])
 
 
-def dedupe_by_value(
-    vectors,
-) -> "dict[tuple[Fraction, ...], FunctioningVector]":
+def dedupe_by_value(vectors) -> "dict[tuple[int, ...], FunctioningVector]":
     """Collapse functioning vectors that share the same value.
 
     Ids are only labels: two entries with equal component values denote the
     same way of being and doing, so set computations treat them as one
     element.  The representative kept is the one with the smallest id, which
-    makes reported id lists deterministic.
+    makes reported id lists deterministic.  The result is keyed by
+    :attr:`FunctioningVector.value_key`, not by the Fraction tuple.
     """
-    out: dict[tuple[Fraction, ...], FunctioningVector] = {}
+    out: dict[tuple[int, ...], FunctioningVector] = {}
     for fv in vectors:
-        cur = out.get(fv.values)
+        key = fv.value_key
+        cur = out.get(key)
         if cur is None or fv.id < cur.id:
-            out[fv.values] = fv
+            out[key] = fv
     return out
 
 
 def value_set(vectors) -> frozenset:
-    """The set of distinct component values, i.e. the vectors with ids erased."""
-    return frozenset(fv.values for fv in vectors)
+    """The distinct values (as :attr:`FunctioningVector.value_key`), i.e. the
+    vectors with ids erased."""
+    return frozenset(fv.value_key for fv in vectors)

@@ -49,6 +49,7 @@ from .model.types import (
     ThresholdVector,
     UtilizationEntry,
     ValuationMap,
+    value_key_of,
 )
 from .rationals import (
     exceeds_digit_limit,
@@ -125,10 +126,10 @@ _INTERNED = frozenset({str, int})
 def _equal_value_pairs(functionings) -> list[tuple[str, str]]:
     """(first id, later id) for each functioning whose values equal those
     of an earlier one in the list."""
-    first: dict[tuple, str] = {}
+    first: dict[tuple[int, ...], str] = {}
     pairs = []
     for fv in functionings:
-        prior = first.setdefault(fv.values, fv.id)
+        prior = first.setdefault(fv.value_key, fv.id)
         if prior != fv.id:
             pairs.append((prior, fv.id))
     return pairs
@@ -149,6 +150,7 @@ class _Parser:
         self.diagnostics: list[Diagnostic] = []
         self._rationals: dict[tuple, Fraction] = {}
         self._vectors: dict[tuple, tuple] = {}
+        self._value_keys: dict[int, tuple] = {}
 
     # -- diagnostics -------------------------------------------------------
 
@@ -242,6 +244,18 @@ class _Parser:
             self.error(path, f"expected {length} components, got {len(out)}")
             return None
         return out
+
+    def value_key(self, values: tuple) -> tuple[int, ...]:
+        """``value_key_of(values)``, built once per distinct parsed vector.
+
+        :meth:`rational_vector` returns one tuple per distinct literal
+        vector, so the tuple's identity is the cache key; each entry holds
+        its tuple, so no identity is reused while the parser lives.
+        """
+        hit = self._value_keys.get(id(values))
+        if hit is None:
+            hit = self._value_keys[id(values)] = (values, value_key_of(values))
+        return hit[1]
 
     def named_rationals(self, value, path) -> Optional[dict]:
         obj = self.obj(value, path)
@@ -470,7 +484,12 @@ class _Parser:
                 continue
             seen.add(fid)
             out.append(
-                FunctioningVector(id=fid, values=values, unreachable=unreachable)
+                FunctioningVector(
+                    id=fid,
+                    values=values,
+                    unreachable=unreachable,
+                    value_key=self.value_key(values),
+                )
             )
         return out if ok else None
 
@@ -1183,16 +1202,12 @@ def deep_validate(doc: ScenarioDocument) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def _rat(value: Fraction):
-    return format_rational(value)
-
-
 def _vector(values) -> list:
-    return [_rat(v) for v in values]
+    return [format_rational(v) for v in values]
 
 
 def _named(mapping) -> dict:
-    return {name: _rat(value) for name, value in mapping.items()}
+    return {name: format_rational(value) for name, value in mapping.items()}
 
 
 def _dimension_obj(dim: Dimension) -> dict:
@@ -1257,7 +1272,7 @@ def _utilization_obj(u: UtilizationEntry) -> dict:
     }
     if u.guards:
         out["guards"] = [
-            {"context": g.context, "component": g.component, "min": _rat(g.min)}
+            {"context": g.context, "component": g.component, "min": format_rational(g.min)}
             for g in u.guards
         ]
     return out

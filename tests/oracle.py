@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .model.types import FunctioningVector, Scenario
+from capkit.model.types import FunctioningVector, Scenario
 
 # ---------------------------------------------------------------------------
 # Raw comparisons (deliberately re-derived, not imported from capkit.model)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import genlib
 import capkit.cli as cli
-from capkit import oracle
+import oracle
 from capkit.judgments.improvement import (
     assistance_life_plans,
     assistance_real_freedom,

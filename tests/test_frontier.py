@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capkit.model.frontier import maximal_set
-from capkit.model.order import strictly_dominates
+from capkit.errors import SchemaError, ValuationError
+from capkit.model.frontier import integer_images, maximal_indices, maximal_set
+from capkit.model.order import dominates, strictly_dominates, theta_prefers
 from capkit.model.types import FunctioningVector, ValuationMap, dedupe_by_value
-from capkit.oracle import naive_maximal_set
+from oracle import naive_maximal_set
 
 F = Fraction
 
@@ -128,3 +130,103 @@ class TestEdgeCases:
         q = (_vec("a", 0, 2), _vec("b", 2, 0))
         result = maximal_set(q, lambda fv: fv.values)
         assert [fv.id for fv in result] == ["a", "b"]
+
+
+class TestImageChecks:
+    def test_ragged_images_raise(self):
+        # Lengths 2 and 1: a plain zip over the column scales would truncate.
+        images = {"a": (F(1), F(1)), "b": (F(2),)}
+        q = (_vec("a", 0), _vec("b", 1))
+        with pytest.raises(SchemaError, match="different lengths"):
+            maximal_set(q, lambda fv: images[fv.id])
+        with pytest.raises(SchemaError, match=r"different lengths \(1 vs 2\)"):
+            maximal_indices([(F(1), F(1)), (F(2),)])
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None])
+    def test_non_rational_component_raises_valuation_error(self, bad):
+        q = (_vec("a", 0), _vec("b", 1))
+        with pytest.raises(ValuationError, match="not an exact rational"):
+            maximal_set(q, lambda fv: (F(1), bad if fv.id == "b" else F(0)))
+
+    def test_non_rational_singleton_raises(self):
+        # No pair is ever compared, and the component is still rejected.
+        with pytest.raises(ValuationError, match="float"):
+            maximal_set((_vec("a", 0),), lambda fv: (0.5,))
+
+    def test_ints_and_fractions_share_a_scale(self):
+        assert integer_images([(F(1, 2), 3)], [(F(-1, 3), F(2, 3))]) == [
+            [(3, 9)],
+            [(-2, 2)],
+        ]
+
+    def test_no_images(self):
+        assert integer_images([], []) == [[], []]
+
+
+# A small pool with mixed denominators makes equal numerators over unequal
+# denominators (and equal values) common; the wide range covers the rest.
+rationals = st.one_of(
+    st.sampled_from(sorted({F(p, q) for q in (1, 2, 3, 4) for p in range(-4, 5)})),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+
+
+@st.composite
+def scaled_cases(draw):
+    """Two vectors and a threshold of one length, with mixed denominators."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    vec = st.tuples(*([rationals] * width))
+    a = draw(vec)
+    # Near-copies of a make equality, weak dominance and equal numerators
+    # over unequal denominators common.
+    denominators = st.tuples(*([st.integers(min_value=1, max_value=4)] * width))
+    b = draw(
+        st.one_of(
+            vec,
+            st.just(a),
+            vec.map(lambda v: tuple(max(x, y) for x, y in zip(a, v))),
+            denominators.map(lambda ds: tuple(F(x.numerator, d) for x, d in zip(a, ds))),
+        )
+    )
+    return a, b, draw(vec)
+
+
+class TestIntegerScaleIsExact:
+    """On the integer scale, each relation gives its answer on the Fractions."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(scaled_cases())
+    def test_relations_agree(self, case):
+        a, b, theta = case
+        (ia, ib, itheta), = integer_images([a, b, theta])
+        assert all(type(x) is int for x in ia + ib + itheta)
+        assert dominates(ia, ib) == dominates(a, b)
+        assert strictly_dominates(ia, ib) == strictly_dominates(a, b)
+        assert theta_prefers(ia, ib, itheta, strict=True) == theta_prefers(
+            a, b, theta, strict=True
+        )
+        assert (ia == ib) == (a == b)
+        # The scan's sort order: a strict dominator has the larger scaled
+        # sum, and equal images have equal sums.
+        if strictly_dominates(a, b):
+            assert sum(ia) > sum(ib)
+        if a == b:
+            assert sum(ia) == sum(ib)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(scaled_cases())
+    def test_value_key_equality_is_value_equality(self, case):
+        a, b, _ = case
+        key_a = FunctioningVector("a", a).value_key
+        key_b = FunctioningVector("b", b).value_key
+        assert (key_a == key_b) == (a == b)
+        assert all(type(n) is int for n in key_a)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(rationals, rationals), max_size=10))
+    def test_maximal_indices_match_a_fraction_scan(self, images):
+        expected = [
+            i for i, img in enumerate(images)
+            if not any(strictly_dominates(other, img) for other in images)
+        ]
+        assert maximal_indices(images) == expected

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from capkit import oracle
+import oracle
 from capkit.errors import DeltaError, TraceError
 from capkit.judgments.records import (
     InteractionDeltas,
@@ -157,7 +157,9 @@ class TestApplyInteraction:
             resources_added=(ResourceVector("x_bike", (F(3),)),),
         )
         after = apply_interaction(base, _record(deltas))
-        assert after.resource("x_bike").values == (F(3),)
+        assert [r for r in after.resources if r.id == "x_bike"] == [
+            ResourceVector("x_bike", (F(3),))
+        ]
 
     def test_pattern_swap_same_id(self):
         base = _base_scenario()

@@ -346,6 +346,11 @@ class TestParseCache:
         assert {fv.values for fv in functionings} == {(F(1, 2),)}
         assert [fv.id for fv in dedupe_by_value(functionings).values()] == ["b_a"]
 
+    def test_equal_spellings_share_one_value_key(self):
+        doc, _ = parse_obj(self._equal_spellings_doc([1]))
+        keys = {fv.id: fv.value_key for fv in doc.scenario.functionings}
+        assert keys == {"b_a": (1, 2), "b_b": (1, 2), "b_c": (1, 2)}
+
     def test_equal_spellings_trip_image_check(self):
         with pytest.raises(DocumentError) as excinfo:
             parse_obj(self._equal_spellings_doc([2]))

@@ -11,7 +11,12 @@ from pathlib import Path
 import genlib
 import pytest
 
-from capkit.errors import IncompleteRecordError, InternalInvariantError
+from capkit.errors import (
+    IncompleteRecordError,
+    InternalInvariantError,
+    SchemaError,
+    ValuationError,
+)
 from capkit.judgments import failures
 from capkit.judgments.failures import (
     detect_coercion,
@@ -207,6 +212,36 @@ class TestImproves:
         assert unmatched(s, s_prime, counted, counted) == []
         assert max(calls.values()) == 1
 
+
+    def test_ragged_images_raise(self):
+        s = [_fv("a", 1, 1)]
+        s_prime = [_fv("b", 2)]
+        w = lambda fv: fv.values
+        with pytest.raises(SchemaError, match="different lengths"):
+            improves(s, s_prime, w)
+        with pytest.raises(SchemaError, match="different lengths"):
+            unmatched(s, s_prime, w, w)
+        # Ragged within one side as well.
+        with pytest.raises(SchemaError, match="different lengths"):
+            improves(s, [_fv("c", 2, 2), _fv("d", 3)], w)
+
+    @pytest.mark.parametrize("theta", [(F(1),), (F(1), F(1), F(1))])
+    def test_mis_sized_theta_raises(self, theta):
+        s = [_fv("a", 0, 0)]
+        s_prime = [_fv("b", 1, 1)]
+        with pytest.raises(SchemaError, match="different lengths"):
+            improves(s, s_prime, lambda fv: fv.values, theta=theta)
+
+    def test_non_rational_image_raises_valuation_error(self):
+        s = [_fv("a", 0)]
+        s_prime = [_fv("b", 1)]
+        floats = lambda fv: tuple(float(x) for x in fv.values)
+        with pytest.raises(ValuationError, match="float, not an exact rational"):
+            improves(s, s_prime, floats)
+        with pytest.raises(ValuationError, match="float, not an exact rational"):
+            unmatched(s, s_prime, lambda fv: fv.values, floats)
+        with pytest.raises(ValuationError, match="float, not an exact rational"):
+            improves(s, s_prime, lambda fv: fv.values, theta=(0.5,))
 
 def _naive_unmatched(s_set, s_prime, img_before, img_after):
     """The ∀∃ counterexamples by a plain scan of the whole of S'."""

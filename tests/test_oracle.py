@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import capkit
-from capkit import oracle
+import oracle
 from capkit.judgments.improvement import improves
 from capkit.model.frontier import maximal_set
 from capkit.model.types import FunctioningVector
@@ -89,11 +89,15 @@ class TestEvalFormula:
 
 class TestIndependence:
     PACKAGE = Path(capkit.__file__).parent
+    ORACLE = Path(oracle.__file__)
 
     @staticmethod
     def _imported_modules(path: Path) -> set[str]:
-        """Absolute names of the capkit modules a source file imports."""
-        parts = ["capkit", *path.relative_to(TestIndependence.PACKAGE).with_suffix("").parts]
+        """Absolute names of the modules a source file imports."""
+        if path.is_relative_to(TestIndependence.PACKAGE):
+            parts = ["capkit", *path.relative_to(TestIndependence.PACKAGE).with_suffix("").parts]
+        else:
+            parts = [path.stem]  # a top-level module such as the oracle
         package = parts[:-1]
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -105,15 +109,23 @@ class TestIndependence:
                 names.add(module)
                 # "from . import x" and "from capkit import x" may name modules
                 names.update(f"{module}.{alias.name}" for alias in node.names)
-        return {n for n in names if n == "capkit" or n.startswith("capkit.")}
+        return names
 
     def test_oracle_imports_only_domain_types_and_errors(self):
-        imported = self._imported_modules(self.PACKAGE / "oracle.py")
+        imported = {
+            n for n in self._imported_modules(self.ORACLE)
+            if n == "capkit" or n.startswith("capkit.")
+        }
         allowed = {"capkit.model.types", "capkit.errors"}
         assert {n for n in imported if not any(n.startswith(a) for a in allowed)} == set()
         assert imported & allowed
 
+    def test_oracle_is_not_shipped(self):
+        assert not self.ORACLE.is_relative_to(self.PACKAGE)
+        assert not (self.PACKAGE / "oracle.py").exists()
+
     def test_engine_never_imports_oracle(self):
         for path in sorted(self.PACKAGE.rglob("*.py")):
-            if path.name != "oracle.py":
-                assert "capkit.oracle" not in self._imported_modules(path), path
+            imported = self._imported_modules(path)
+            assert "capkit.oracle" not in imported, path
+            assert not any(n == "oracle" or n.startswith("oracle.") for n in imported), path

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import genlib
-from capkit import oracle
+import oracle
 from capkit.errors import SchemaError
 from capkit.model.order import dominates, sat_set, strictly_dominates, theta_prefers
 
