@@ -90,8 +90,10 @@ def _load(path_str: str, *, lenient: bool = False):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DocumentError([f"error: {path_str}: not valid UTF-8 ({exc.reason})"]) from None
+    digest = input_digest(data)
+    del data  # the text is all parsing needs; free the bytes before its peak
     doc, warnings = parse_document(text, lenient=lenient)
-    return doc, warnings, input_digest(data)
+    return doc, warnings, digest
 
 
 def _print_diagnostics(diagnostics, stream) -> None:

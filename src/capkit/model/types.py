@@ -223,7 +223,10 @@ class Scenario:
     assistance test.
 
     Derived sets (Q, Q*, M, the access profile) are cached per instance, so
-    callers must treat the mapping fields as read-only.
+    callers must treat the mapping fields as read-only.  The parser gives
+    equal scenario subtrees of one document one shared instance (a record's
+    believed scenario may be the document's scenario itself), so a change
+    made through one reference would show through all of them.
     """
 
     agent_id: str

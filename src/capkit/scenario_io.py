@@ -21,6 +21,7 @@ newline, so equal documents serialize to identical bytes and
 from __future__ import annotations
 
 import json
+import marshal
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,6 +144,18 @@ class _Parser:
     raw type and value (failures are not cached, so every bad literal gets
     its own located diagnostic).  Fractions and tuples are immutable, so
     sharing them is safe.
+
+    Interaction records repeat whole scenarios (a believed world equal to
+    the true one, one threat world per record), so equal scenario subtrees
+    also parse to one shared :class:`Scenario`, whose derived sets are then
+    computed once.  Subtrees are compared by ``marshal.dumps(raw, 2)``, not
+    by ``==``: ``True == 1``, yet only the integer is a valid rational and
+    only the boolean a valid flag.  Marshal writes a distinct type code for
+    each, so equal bytes mean the same types and values in the same key
+    order, hence the same walk.  Version 2 writes strings without
+    interning marks or back-references, so the bytes depend on the value
+    alone.  Decimal and oversized literals are not marshallable; a subtree
+    holding one is walked every time.
     """
 
     def __init__(self, lenient: bool):
@@ -151,6 +164,9 @@ class _Parser:
         self._rationals: dict[tuple, Fraction] = {}
         self._vectors: dict[tuple, tuple] = {}
         self._value_keys: dict[int, tuple] = {}
+        # hash(marshal bytes) -> [(raw subtree, Scenario)]; holding the raw
+        # tree (alive for the whole parse anyway) instead of the key bytes.
+        self._scenarios: dict[int, list[tuple[object, Scenario]]] = {}
 
     # -- diagnostics -------------------------------------------------------
 
@@ -319,6 +335,28 @@ class _Parser:
     }
 
     def scenario(self, value, path) -> Optional[Scenario]:
+        """Parse a scenario subtree, once per distinct subtree.
+
+        Only walks that add no diagnostic are kept: a walk depends on the
+        subtree and ``lenient`` alone, so a hit emits exactly what a fresh
+        walk would, which is nothing.
+        """
+        try:
+            key = marshal.dumps(value, 2)
+        except ValueError:
+            return self._walk_scenario(value, path)
+        bucket = self._scenarios.setdefault(hash(key), [])
+        for raw, parsed in bucket:
+            if marshal.dumps(raw, 2) == key:
+                return parsed
+        del key  # hold no key bytes through the walk
+        before = len(self.diagnostics)
+        parsed = self._walk_scenario(value, path)
+        if parsed is not None and len(self.diagnostics) == before:
+            bucket.append((value, parsed))
+        return parsed
+
+    def _walk_scenario(self, value, path) -> Optional[Scenario]:
         obj = self.obj(value, path)
         if obj is None:
             return None
@@ -893,7 +931,9 @@ class _Parser:
 
     def check_override(self, override: Scenario, main: Scenario, path: str) -> None:
         """Counterfactual scenarios must stay comparable with the main one."""
-        for space in ("B", "E", "P"):
+        for space in ("B", "E", "P", "U"):
+            if space not in override.schemas or space not in main.schemas:
+                continue  # U is optional
             if override.schemas[space].names != main.schemas[space].names:
                 self.error(
                     f"{path}.schemas.{space}",

@@ -1,0 +1,116 @@
+"""The exit-code contract over a fixed input corpus, in-process.
+
+``validate`` exits 0 or 2 on every input, and a document it accepts can
+always be evaluated: ``frontier``, ``judge`` and ``detect`` then exit 0 or 1,
+never 2 (an unlocated input error) or 3.  The corpus is every shipped
+fixture, the ``invalid/`` corpus, and deterministic mutations of the
+ransomware threat record that make its counterfactual scenario disagree
+with the main one in a dimension schema or in the transient map ``u``.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+import capkit.cli as cli
+
+FIXTURES = Path(__file__).parent / "fixtures"
+RANSOMWARE = json.loads((FIXTURES / "ransomware.scn").read_text())
+
+EVALUATIONS = [
+    ["frontier", "--set", "Q"],
+    ["frontier", "--set", "Qstar"],
+    ["frontier", "--set", "M"],
+    ["judge", "--fail-on-violation"],
+    ["detect", "--fail-on-violation"],
+]
+
+
+def _declare_u(scenario, names):
+    """Give ``scenario`` a U schema named ``names`` and a constant table ``u``."""
+    scenario["schemas"]["U"] = [{"name": name} for name in names]
+    scenario["maps"]["u"] = {
+        "form": "table",
+        "entries": {fv["id"]: [1] * len(names) for fv in scenario["functionings"]},
+    }
+
+
+def _widen(scenario, space):
+    """Append one dimension to ``space`` and a 0 to every vector written in it."""
+    scenario["schemas"][space].append({"name": "extra"})
+    if space == "B":
+        vectors = [fv["values"] for fv in scenario["functionings"]]
+    else:
+        map_id = {"E": "r", "P": "v", "U": "u"}[space]
+        vectors = list(scenario["maps"][map_id]["entries"].values())
+        if space == "E":
+            vectors.append(scenario["theta"])
+    for values in vectors:
+        values.append(0)
+
+
+def _rename(scenario, space):
+    scenario["schemas"][space][-1]["name"] = "renamed"
+
+
+def _mutations():
+    """(name, document) for each threat-override mutation of ransomware.scn."""
+    out = []
+    for space in ("B", "E", "P", "U"):
+        for label, mutate in (("width", _widen), ("names", _rename)):
+            doc = copy.deepcopy(RANSOMWARE)
+            threat = doc["interactions"][0]["threat_scenario"]
+            if space == "U":
+                _declare_u(doc["scenario"], ["relief", "calm"])
+                _declare_u(threat, ["relief", "calm"])
+            mutate(threat, space)
+            out.append((f"threat_{space}_{label}", doc))
+    for label in ("main_only", "threat_only"):
+        doc = copy.deepcopy(RANSOMWARE)
+        threat = doc["interactions"][0]["threat_scenario"]
+        _declare_u(doc["scenario"] if label == "main_only" else threat, ["relief"])
+        out.append((f"u_{label}", doc))
+    doc = copy.deepcopy(RANSOMWARE)
+    _declare_u(doc["scenario"], ["relief"])
+    doc["interactions"][0]["threat_scenario"]["schemas"]["U"] = [{"name": "relief"}]
+    out.append(("u_schema_without_map_in_threat", doc))
+    return out
+
+
+SHIPPED = sorted(p for p in FIXTURES.iterdir() if p.suffix in (".scn", ".trc"))
+INVALID = sorted(
+    p for p in (FIXTURES / "invalid").glob("*.json") if p.name != "manifest.json"
+)
+MUTATIONS = _mutations()
+
+
+def _check_contract(path: Path, capsys) -> int:
+    code = cli.main(["validate", str(path)])
+    out = capsys.readouterr()
+    assert code in (0, 2), f"validate exited {code}: {out.err}"
+    if code == 0:
+        for argv in EVALUATIONS:
+            evaluated = cli.main([argv[0], str(path), *argv[1:]])
+            err = capsys.readouterr().err
+            assert evaluated in (0, 1), (
+                f"validate accepted {path.name}, but {' '.join(argv)} "
+                f"exited {evaluated}: {err}"
+            )
+    return code
+
+
+@pytest.mark.parametrize("path", SHIPPED + INVALID, ids=lambda p: p.name)
+def test_fixture_honours_exit_code_contract(path, capsys):
+    _check_contract(path, capsys)
+
+
+@pytest.mark.parametrize("name,doc", MUTATIONS, ids=[name for name, _ in MUTATIONS])
+def test_override_mutation_honours_exit_code_contract(name, doc, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    # Each mutation breaks one rule for overrides, so none is valid.
+    assert _check_contract(path, capsys) == 2

@@ -360,6 +360,170 @@ class TestParseCache:
         ]
 
 
+def _with_copies(obj, field, copies, mechanisms=("information_filtering",)):
+    """``obj`` with one record per scenario copy, carried under ``field``."""
+    obj["interactions"] = [
+        _interaction_obj(
+            id=f"i_{i}",
+            mechanisms=list(mechanisms),
+            actor_has_right=False,
+            **{field: copy.deepcopy(copy_obj)},
+        )
+        for i, copy_obj in enumerate(copies)
+    ]
+    return obj
+
+
+class TestScenarioMemo:
+    """Equal scenario subtrees parse to one shared Scenario; a copy that
+    differs only in a literal's JSON type, or whose walk emits a diagnostic,
+    is walked again and diagnosed at its own path."""
+
+    def test_believed_equal_to_main_is_shared(self, monkeypatch):
+        import capkit.model.freedom as freedom
+
+        obj = base_doc()
+        main = obj["scenario"]
+        threat = copy.deepcopy(main)
+        threat["characteristics"] = {"skill": 0}
+        obj["interactions"] = [
+            _interaction_obj(
+                id=f"i_{i}",
+                mechanisms=["information_filtering", "threat"],
+                actor_has_right=False,
+                believed_scenario=copy.deepcopy(main),
+                threat_scenario=copy.deepcopy(threat),
+            )
+            for i in range(2)
+        ]
+        doc, warnings = parse_obj(obj)
+        assert warnings == []
+        recs = doc.records_by_id()
+        assert recs["i_0"].believed_scenario is doc.scenario
+        assert recs["i_1"].believed_scenario is doc.scenario
+        assert recs["i_0"].threat_scenario is recs["i_1"].threat_scenario
+        assert recs["i_0"].threat_scenario is not doc.scenario
+
+        walks = []
+        original = freedom.dedupe_by_value
+        monkeypatch.setattr(
+            freedom, "dedupe_by_value", lambda q: walks.append(1) or original(q)
+        )
+        q = freedom.compute_freedom(doc.scenario)
+        assert freedom.compute_freedom(recs["i_0"].believed_scenario) is q
+        assert len(walks) == 1
+
+    def _diagnostics(self, obj, **kwargs):
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj, **kwargs)
+        return [(d.path, d.message) for d in excinfo.value.diagnostics]
+
+    def test_boolean_copy_of_integer_is_diagnosed(self):
+        obj = base_doc()
+        flipped = copy.deepcopy(obj["scenario"])
+        flipped["resources"][0]["values"] = [True]
+        _with_copies(obj, "believed_scenario", [obj["scenario"], flipped])
+        assert self._diagnostics(obj) == [
+            (
+                "$.interactions[1].believed_scenario.resources[0].values[0]",
+                "expected a rational literal, got boolean True",
+            )
+        ]
+
+    def test_integer_copy_of_string_is_diagnosed(self):
+        obj = base_doc()
+        obj["scenario"]["resources"][0]["id"] = "1"
+        for entry in obj["scenario"]["utilization"]:
+            entry["resource_id"] = "1"
+        retyped = copy.deepcopy(obj["scenario"])
+        retyped["resources"][0]["id"] = 1
+        _with_copies(obj, "believed_scenario", [obj["scenario"], retyped])
+        assert self._diagnostics(obj) == [
+            (
+                "$.interactions[1].believed_scenario.resources[0].id",
+                "expected a non-empty string",
+            )
+        ]
+
+    def test_integer_unreachable_flag_is_diagnosed_at_each_copy(self):
+        obj = base_doc()
+        obj["scenario"]["functionings"][0]["unreachable"] = True
+        flagged = copy.deepcopy(obj["scenario"])
+        flagged["functionings"][0]["unreachable"] = 1
+        _with_copies(obj, "believed_scenario", [flagged, flagged])
+        assert self._diagnostics(obj) == [
+            (
+                f"$.interactions[{i}].believed_scenario.functionings[0].unreachable",
+                "expected true or false, got int",
+            )
+            for i in (0, 1)
+        ]
+
+    def test_orphan_warning_repeats_at_each_copy(self):
+        obj = base_doc()
+        obj["scenario"]["functionings"].append({"id": "b_dream", "values": [5]})
+        obj["scenario"]["maps"]["v"]["entries"]["b_dream"] = [1]
+        obj["scenario"]["maps"]["r"]["entries"]["b_dream"] = [1]
+        _with_copies(obj, "believed_scenario", [obj["scenario"], obj["scenario"]])
+        _, warnings = parse_obj(obj)
+        assert [w.path for w in warnings] == [
+            "$.scenario.functionings",
+            "$.interactions[0].believed_scenario.functionings",
+            "$.interactions[1].believed_scenario.functionings",
+        ]
+        assert all("'b_dream'" in w.message for w in warnings)
+
+    def test_lenient_unknown_field_warning_repeats_at_each_copy(self):
+        obj = base_doc()
+        obj["scenario"]["mood"] = "sunny"
+        _with_copies(obj, "believed_scenario", [obj["scenario"], obj["scenario"]])
+        _, warnings = parse_obj(obj, lenient=True)
+        assert [w.path for w in warnings] == [
+            "$.scenario",
+            "$.interactions[0].believed_scenario",
+            "$.interactions[1].believed_scenario",
+        ]
+        assert all("unknown field 'mood'" in w.message for w in warnings)
+
+    def test_override_checks_run_for_every_shared_copy(self):
+        obj = base_doc()
+        obj["scenario"]["schemas"]["U"] = [{"name": "relief"}]
+        obj["scenario"]["maps"]["u"] = {
+            "form": "table",
+            "entries": {"b_a": [1], "b_b": [1]},
+        }
+        threat = copy.deepcopy(obj["scenario"])
+        threat["theta"] = [2]
+        threat["agent_id"] = "imposter"
+        del threat["maps"]["u"]
+        _with_copies(obj, "threat_scenario", [threat, threat], ["threat"])
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj)
+        assert [(d.severity, d.path) for d in excinfo.value.diagnostics] == [
+            (severity, f"$.interactions[{i}].threat_scenario{suffix}")
+            for i in (0, 1)
+            for severity, suffix in (
+                ("error", ".theta"),
+                ("warning", ".agent_id"),
+                ("error", ".maps"),
+            )
+        ]
+
+    def test_decimal_literal_parses_equal_to_its_fraction_string(self):
+        obj = base_doc()
+        obj["scenario"]["resources"][0]["values"] = ["3/2"]
+        decimal = copy.deepcopy(obj["scenario"])
+        decimal["resources"][0]["values"] = [F(3, 2)]
+        _with_copies(obj, "believed_scenario", [decimal, decimal])
+        # json.dumps cannot write a Fraction; splice the decimal literal in.
+        text = json.dumps(obj, default=lambda _: "@1.5@").replace('"@1.5@"', "1.5")
+        doc, _ = parse_document(text)
+        believed = [rec.believed_scenario for rec in doc.interactions]
+        assert believed[0] == believed[1] == doc.scenario
+        assert believed[0].resources[0].values == (F(3, 2),)
+        assert serialize_scenario(believed[0]) == serialize_scenario(doc.scenario)
+
+
 class TestDocumentShape:
     def test_not_json(self):
         with pytest.raises(DocumentError) as excinfo:
