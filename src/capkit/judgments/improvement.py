@@ -103,7 +103,7 @@ def _clauses_hold(
     if theta is None:
         return any(strictly_dominates(a, t) for t in before for a in m_after)
     (theta,) = thetas
-    return any(theta_prefers(a, t, theta, strict=True) for t in before for a in m_after)
+    return any(theta_prefers(a, t, theta) for t in before for a in m_after)
 
 
 def improves(

@@ -5,12 +5,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..errors import InternalInvariantError
 from ..model.types import Scenario
 from ..rationals import format_rational
-from .failures import Finding, PaternalismResult, detect_domination, detect_failures
+from .failures import Finding, PaternalismResult, detect_failures
 from .improvement import (
     AssistanceFlags,
     BeneficenceFlags,
@@ -22,7 +22,7 @@ from .improvement import (
     condition1,
     condition2,
 )
-from .records import InteractionRecord, MaterializedStep
+from .records import InteractionRecord
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,6 @@ def judge(
     before: Scenario,
     after: Scenario,
     rec: InteractionRecord,
-    trace_steps: Optional[Sequence[MaterializedStep]] = None,
     *,
     require_change: bool = True,
 ) -> Verdict:
@@ -129,14 +128,9 @@ def judge(
 
     ``require_change`` mirrors the CLI's --strict-formula flag (inverted):
     pass False to evaluate the raw improvement formulas without the
-    set-change guard.  When ``trace_steps`` is given, trace-level domination
-    detection contributes the last entry of the findings list.
+    set-change guard.
     """
     findings, paternalism = detect_failures(before, after, rec)
-    if trace_steps is not None:
-        domination = detect_domination(trace_steps)
-        if domination.status == "finding":
-            findings.append(Finding("domination", None, domination.evidence))
 
     verdict = Verdict(
         interaction_id=rec.id,

@@ -40,24 +40,19 @@ def sat_set(x: Vector, theta: Vector) -> frozenset[int]:
     return frozenset(k for k, (xv, tv) in enumerate(zip(x, theta)) if xv >= tv)
 
 
-def theta_prefers(a: Vector, b: Vector, theta: Vector, *, strict: bool) -> bool:
-    """Threshold-sensitive preference between two codomain vectors.
+def theta_prefers(a: Vector, b: Vector, theta: Vector) -> bool:
+    """Strict threshold-sensitive preference between two codomain vectors.
 
     Crossing a previously unmet threshold is treated as a first-class
     improvement: with ``sat(x)`` the set of threshold components x meets,
+    a is preferred to b when sat(a) ⊋ sat(b), or sat(a) ⊇ sat(b) and a
+    strictly dominates b.  Newly meeting a minimum therefore counts as a
+    strict improvement even when the vectors are otherwise
+    Pareto-incomparable.
 
-    * weak form:   sat(a) ⊇ sat(b) and a weakly dominates b;
-    * strict form: sat(a) ⊋ sat(b), or sat(a) ⊇ sat(b) and a strictly
-      dominates b.
-
-    Newly meeting a minimum therefore counts as a strict improvement even
-    when the vectors are otherwise Pareto-incomparable.
-
-    Because a ⪰ b already implies sat(a) ⊇ sat(b), both forms reduce: the
-    weak form is exactly ``dominates(a, b)``, and the strict form is
-    a ≻ b or sat(a) ⊋ sat(b).
+    Because a ⪰ b already implies sat(a) ⊇ sat(b), this reduces to a ≻ b
+    or sat(a) ⊋ sat(b).  The weak form (sat(a) ⊇ sat(b) and a ⪰ b) reduces
+    the same way to ``dominates(a, b)``, so it has no function of its own.
     """
     _check_lengths(a, theta)
-    if strict:
-        return strictly_dominates(a, b) or sat_set(a, theta) > sat_set(b, theta)
-    return dominates(a, b)
+    return strictly_dominates(a, b) or sat_set(a, theta) > sat_set(b, theta)

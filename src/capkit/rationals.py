@@ -4,6 +4,10 @@ All quantities in capkit are exact rationals (stdlib ``fractions.Fraction``).
 Floats never enter the model: wire-format literals are integers, decimal
 strings, or ``p/q`` strings, and every comparison is exact, so there are no
 epsilon tolerances anywhere in the engine.
+
+A JSON number decodes to an ``int``, or else to its text as ``bytes``, which
+:func:`parse_rational` reads like a string; bytes keep the number ``1.5``
+apart from the string ``"1.5"`` in raw keys.
 """
 
 from __future__ import annotations
@@ -67,42 +71,37 @@ def _echo(text: str) -> str:
     return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
-class OversizedLiteral:
-    """A JSON number past the digit limit, left for parse_rational to reject."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def __repr__(self) -> str:
-        return _echo(self.text)
-
-
-def json_decimal(text: str):
-    """``parse_float`` hook for JSON: the exact value of a decimal literal."""
-    return OversizedLiteral(text) if _oversized(text) else Fraction(text)
+json_decimal = str.encode  # ``parse_float`` hook for JSON: the literal's bytes
 
 
 def json_integer(text: str):
-    """``parse_int`` hook for JSON: an int, or an :class:`OversizedLiteral`
-    when the literal has more digits than the int-to-string limit."""
+    """``parse_int`` hook for JSON: an int, or the literal's bytes when it has
+    more digits than the int-to-string limit."""
     try:
         return int(text)
     except ValueError:
-        return OversizedLiteral(text)
+        return text.encode()
+
+
+_JSON_KINDS = {dict: "object", list: "array", str: "string", int: "number",
+               bytes: "number", bool: "boolean", type(None): "null"}
+
+
+def json_kind(value) -> str:
+    """The JSON kind of a decoded value, as diagnostics name it."""
+    return _JSON_KINDS.get(type(value), type(value).__name__)
 
 
 def parse_rational(raw) -> Fraction:
     """Turn a wire-format literal into a Fraction.
 
-    Accepts Python ints, Fractions (passed through), and strings in integer,
-    decimal, or ``p/q`` form.  Rejects floats (inexact), zero denominators,
-    non-finite spellings such as ``nan`` or ``inf``, and literals (strings
-    or :class:`OversizedLiteral` JSON numbers) whose value would not print
-    within the interpreter's int-to-string digit limit.  A diagnostic
-    echoes at most a bounded prefix of the literal.
+    Accepts Python ints, and strings (or the bytes of a JSON number) in
+    integer, decimal, or ``p/q`` form.  Rejects floats (inexact), zero
+    denominators, non-finite spellings such as ``nan`` or ``inf``, and
+    literals whose value would not print within the interpreter's
+    int-to-string digit limit.  A diagnostic echoes at most a bounded
+    prefix of the literal.
     """
-    if isinstance(raw, Fraction):
-        return raw
     if isinstance(raw, bool):
         raise SchemaError(f"expected a rational literal, got boolean {raw!r}")
     if isinstance(raw, int):
@@ -112,8 +111,8 @@ def parse_rational(raw) -> Fraction:
             f"float literal {raw!r} is not admitted; write an integer, "
             "a decimal string, or a 'p/q' string"
         )
-    if isinstance(raw, OversizedLiteral):
-        raw = raw.text
+    if isinstance(raw, bytes):
+        raw = raw.decode()
     if isinstance(raw, str):
         text = raw.strip()
         if _oversized(text):
@@ -131,7 +130,7 @@ def parse_rational(raw) -> Fraction:
                 "a decimal, or 'p/q'"
             ) from None
         return value
-    raise SchemaError(f"expected a rational literal, got {type(raw).__name__}")
+    raise SchemaError(f"expected a rational literal, got {json_kind(raw)}")
 
 
 def format_rational(value: Fraction):

@@ -3,9 +3,9 @@
 The wire format is a single JSON document with a versioned schema
 (``format_version: 1``) describing one agent's scenario plus any
 interaction records and traces over it.  Rational literals are JSON
-integers, decimal numbers (parsed exactly from their literal text -- they
-never pass through binary floating point), or strings in integer, decimal,
-or ``p/q`` form.  Non-finite literals are rejected outright.
+numbers or strings in integer, decimal, or ``p/q`` form; a decimal number
+is read from its text like a decimal string, never as a binary float.
+Non-finite literals are rejected outright.
 
 Parsing is strict: unknown fields, dangling references, non-total valuation
 tables, and malformed literals are all located errors.  ``lenient=True``
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import marshal
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -53,10 +53,12 @@ from .model.types import (
     value_key_of,
 )
 from .rationals import (
+    _echo,
     exceeds_digit_limit,
     format_rational,
     json_decimal,
     json_integer,
+    json_kind,
     parse_rational,
 )
 
@@ -106,11 +108,13 @@ class _DuplicateKey(Exception):
 
 
 def _pairs_hook(pairs):
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise _DuplicateKey(key)
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _DuplicateKey(key)
+            seen.add(key)
     return obj
 
 
@@ -118,10 +122,16 @@ def _reject_constant(name):
     raise ValueError(f"non-finite literal {name}")
 
 
-# Raw literal types whose parse is cached.  The type is part of every key:
-# True == 1 hashes like 1, so a key by value alone would let a boolean skip
-# its rejection.
-_INTERNED = frozenset({str, int})
+# Raw literal types whose parse is cached: strings and the two forms of a
+# JSON number.  The type is part of every key: True == 1 hashes like 1, so
+# a key by value alone would let a boolean skip its rejection.
+_INTERNED = frozenset({str, int, bytes})
+
+# What ``require`` returns for a missing field.  The field is diagnosed
+# there, so the shape helpers return None for it without a second message.
+_MISSING = object()
+
+_TOO_DEEP = Diagnostic("error", "document", "not valid JSON: nesting too deep")
 
 
 def _equal_value_pairs(functionings) -> list[tuple[str, str]]:
@@ -151,11 +161,10 @@ class _Parser:
     computed once.  Subtrees are compared by ``marshal.dumps(raw, 2)``, not
     by ``==``: ``True == 1``, yet only the integer is a valid rational and
     only the boolean a valid flag.  Marshal writes a distinct type code for
-    each, so equal bytes mean the same types and values in the same key
-    order, hence the same walk.  Version 2 writes strings without
-    interning marks or back-references, so the bytes depend on the value
-    alone.  Decimal and oversized literals are not marshallable; a subtree
-    holding one is walked every time.
+    each (and for ``bytes``, the raw form of a non-int number), so equal
+    bytes mean the same types and values in the same key order, hence the
+    same walk.  Version 2 writes strings without interning marks or
+    back-references, so the bytes depend on the value alone.
     """
 
     def __init__(self, lenient: bool):
@@ -164,9 +173,10 @@ class _Parser:
         self._rationals: dict[tuple, Fraction] = {}
         self._vectors: dict[tuple, tuple] = {}
         self._value_keys: dict[int, tuple] = {}
-        # hash(marshal bytes) -> [(raw subtree, Scenario)]; holding the raw
-        # tree (alive for the whole parse anyway) instead of the key bytes.
-        self._scenarios: dict[int, list[tuple[object, Scenario]]] = {}
+        # hash(marshal bytes) -> [(raw subtree, walk result, its diagnostics
+        # with paths relative to the subtree)]; holding the raw tree (alive
+        # for the whole parse anyway) instead of the key bytes.
+        self._scenarios: dict[int, list[tuple]] = {}
 
     # -- diagnostics -------------------------------------------------------
 
@@ -182,34 +192,31 @@ class _Parser:
 
     # -- generic shape helpers --------------------------------------------
 
+    def mistyped(self, value, path, expected: str) -> None:
+        """Diagnose a value of the wrong JSON kind (``_MISSING`` already was)."""
+        if value is not _MISSING:
+            self.error(path, f"expected {expected}, got {json_kind(value)}")
+
     def obj(self, value, path) -> Optional[dict]:
-        if not isinstance(value, dict):
-            self.error(path, f"expected an object, got {type(value).__name__}")
-            return None
-        return value
+        return value if isinstance(value, dict) else self.mistyped(value, path, "an object")
 
     def array(self, value, path) -> Optional[list]:
-        if not isinstance(value, list):
-            self.error(path, f"expected an array, got {type(value).__name__}")
-            return None
-        return value
+        return value if isinstance(value, list) else self.mistyped(value, path, "an array")
 
     def string(self, value, path) -> Optional[str]:
         if not isinstance(value, str) or not value:
-            self.error(path, "expected a non-empty string")
+            if value is not _MISSING:
+                self.error(path, "expected a non-empty string")
             return None
         return value
 
     def boolean(self, value, path) -> Optional[bool]:
-        if not isinstance(value, bool):
-            self.error(path, f"expected true or false, got {type(value).__name__}")
-            return None
-        return value
+        return value if isinstance(value, bool) else self.mistyped(value, path, "true or false")
 
     def rational(self, value, path) -> Optional[Fraction]:
         key = (type(value), value) if type(value) in _INTERNED else None
         rat = self._rationals.get(key)
-        if rat is not None:
+        if rat is not None or value is _MISSING:
             return rat
         try:
             rat = parse_rational(value)
@@ -223,7 +230,7 @@ class _Parser:
     def require(self, obj: dict, key: str, path: str):
         if key not in obj:
             self.error(path, f"missing required field {key!r}")
-            return None
+            return _MISSING
         return obj[key]
 
     def check_fields(self, obj: dict, allowed, path: str) -> None:
@@ -242,9 +249,11 @@ class _Parser:
         arr = self.array(value, path)
         if arr is None:
             return None
-        # Exact str and int items compare equal only to their own kind, so
-        # the raw tuple is a safe key once every item is one of them.
-        key = tuple(arr) if {*map(type, arr)} <= _INTERNED else None
+        # As in rational(), the key holds the item types, and holds them
+        # first, so keys compare types before items: items of two types are
+        # never compared (bytes == str warns under ``python -b``).
+        types = tuple(map(type, arr))
+        key = (*types, *arr) if _INTERNED.issuperset(types) else None
         out = self._vectors.get(key)
         if out is None:
             items = []
@@ -337,29 +346,30 @@ class _Parser:
     def scenario(self, value, path) -> Optional[Scenario]:
         """Parse a scenario subtree, once per distinct subtree.
 
-        Only walks that add no diagnostic are kept: a walk depends on the
-        subtree and ``lenient`` alone, so a hit emits exactly what a fresh
-        walk would, which is nothing.
+        A walk depends on the subtree and ``lenient`` alone, and each of its
+        diagnostics lies under ``path``, so a hit re-emits the first walk's
+        diagnostics under its own path: exactly what a fresh walk would.
         """
-        try:
-            key = marshal.dumps(value, 2)
-        except ValueError:
-            return self._walk_scenario(value, path)
-        bucket = self._scenarios.setdefault(hash(key), [])
-        for raw, parsed in bucket:
-            if marshal.dumps(raw, 2) == key:
-                return parsed
-        del key  # hold no key bytes through the walk
-        before = len(self.diagnostics)
-        parsed = self._walk_scenario(value, path)
-        if parsed is not None and len(self.diagnostics) == before:
-            bucket.append((value, parsed))
-        return parsed
-
-    def _walk_scenario(self, value, path) -> Optional[Scenario]:
         obj = self.obj(value, path)
         if obj is None:
             return None
+        try:
+            key = marshal.dumps(obj, 2)
+        except ValueError:  # nested past marshal's bound (a raised recursion limit)
+            raise DocumentError([_TOO_DEEP]) from None
+        bucket = self._scenarios.setdefault(hash(key), [])
+        for raw, parsed, found in bucket:
+            if marshal.dumps(raw, 2) == key:
+                self.diagnostics += [replace(d, path=path + d.path) for d in found]
+                return parsed
+        del key  # hold no key bytes through the walk
+        before = len(self.diagnostics)
+        parsed = self._walk_scenario(obj, path)
+        found = [replace(d, path=d.path[len(path):]) for d in self.diagnostics[before:]]
+        bucket.append((obj, parsed, found))
+        return parsed
+
+    def _walk_scenario(self, obj: dict, path) -> Optional[Scenario]:
         self.check_fields(obj, self.SCENARIO_FIELDS, path)
 
         agent_id = self.string(
@@ -1108,9 +1118,6 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-_NON_INTEGER_VERSION = {bool: "a boolean", Fraction: "a decimal"}
-
-
 def parse_document(
     text: str, *, lenient: bool = False
 ) -> tuple[ScenarioDocument, list[Diagnostic]]:
@@ -1132,9 +1139,7 @@ def parse_document(
             [Diagnostic("error", "$", f"duplicate object key {exc.key!r}")]
         ) from None
     except RecursionError:
-        raise DocumentError(
-            [Diagnostic("error", "document", "not valid JSON: nesting too deep")]
-        ) from None
+        raise DocumentError([_TOO_DEEP]) from None
     except ValueError as exc:
         # json.JSONDecodeError subclasses ValueError and carries position info.
         lineno = getattr(exc, "lineno", None)
@@ -1151,18 +1156,23 @@ def parse_document(
             obj, {"format_version", "scenario", "interactions", "traces"}, "$"
         )
         version = p.require(obj, "format_version", "$")
-        # True == 1 and the decimal 1.0 parses to Fraction(1) == 1, so the
-        # type is checked first: the version is the JSON integer 1.
-        kind = _NON_INTEGER_VERSION.get(type(version))
+        # True == 1 and 1.0 means 1, so the kind comes first: the version is
+        # the JSON integer 1.  Bytes hold a decimal or an over-long integer.
+        kind = "a boolean" if type(version) is bool else None
+        shown = repr(version)
+        if type(version) is bytes:
+            shown = _echo(version.decode())
+            if not version.lstrip(b"-").isdigit():
+                kind = "a decimal"
         if kind is not None:
             p.error(
                 "$.format_version",
                 f"format_version must be the integer {FORMAT_VERSION}, not {kind}",
             )
-        elif version is not None and version != FORMAT_VERSION:
+        elif version is not _MISSING and version != FORMAT_VERSION:
             p.error(
                 "$.format_version",
-                f"unsupported format_version {version!r}; this build reads "
+                f"unsupported format_version {shown}; this build reads "
                 f"version {FORMAT_VERSION}",
             )
         scenario = p.scenario(p.require(obj, "scenario", "$"), "$.scenario")

@@ -10,7 +10,9 @@ transient valuations that disagree with the considered one.
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from fractions import Fraction
 
 from capkit.model.types import (
@@ -48,6 +50,24 @@ THRESHOLD_POOL: tuple[Fraction, ...] = (
 )
 
 LEVEL_POOL: tuple[Fraction, ...] = (Fraction(0), Fraction(1), Fraction(2))
+
+
+def decimal_json(obj) -> str:
+    """``json.dumps(obj)`` with every JSON integer written as the decimal
+    ``n.0``, except ``format_version``, which must stay the integer 1."""
+
+    def mark(value):
+        if type(value) is int:
+            return f"\0{value}.0\0"
+        if isinstance(value, dict):
+            return {
+                k: v if k == "format_version" else mark(v) for k, v in value.items()
+            }
+        if isinstance(value, list):
+            return [mark(v) for v in value]
+        return value
+
+    return re.sub(r'"\\u0000(-?\d+\.0)\\u0000"', r"\1", json.dumps(mark(obj)))
 
 
 def rational(rng: random.Random) -> Fraction:

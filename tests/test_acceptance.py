@@ -108,7 +108,7 @@ def test_criterion_1_order_laws():
             assert dominates(v, v)
             assert not strictly_dominates(v, v)
             for theta in thetas:
-                assert not theta_prefers(v, v, theta, strict=True)
+                assert not theta_prefers(v, v, theta)
 
         for _ in range(1500):
             a = rng.choice(pool)
@@ -128,11 +128,9 @@ def test_criterion_1_order_laws():
                 assert not strictly_dominates(b, a)
             if strictly_dominates(a, b) and strictly_dominates(b, c):
                 assert strictly_dominates(a, c)
-            if theta_prefers(a, b, theta, strict=True) and theta_prefers(
-                b, c, theta, strict=True
-            ):
+            if theta_prefers(a, b, theta) and theta_prefers(b, c, theta):
                 theta_antecedents += 1
-                assert theta_prefers(a, c, theta, strict=True)
+                assert theta_prefers(a, c, theta)
 
     elapsed = time.perf_counter() - started
     assert total_vectors >= 10_000

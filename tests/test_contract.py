@@ -6,6 +6,9 @@ never 2 (an unlocated input error) or 3.  The corpus is every shipped
 fixture, the ``invalid/`` corpus, and deterministic mutations of the
 ransomware threat record that make its counterfactual scenario disagree
 with the main one in a dimension schema or in the transient map ``u``.
+
+Each shipped fixture is also rewritten with its JSON integers as decimals
+(``n.0``): every command must then print what it prints for the original.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import capkit.cli as cli
+import genlib
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RANSOMWARE = json.loads((FIXTURES / "ransomware.scn").read_text())
@@ -114,3 +118,24 @@ def test_override_mutation_honours_exit_code_contract(name, doc, tmp_path, capsy
     path.write_text(json.dumps(doc))
     # Each mutation breaks one rule for overrides, so none is valid.
     assert _check_contract(path, capsys) == 2
+
+
+def _outputs(path: Path, capsys) -> list:
+    """(command, exit code, output lines) of validate and each evaluation,
+    with the file name and the input digest left out."""
+    out = []
+    for argv in (["validate"], *EVALUATIONS):
+        code = cli.main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        text = (captured.out + captured.err).replace(str(path), "<file>")
+        lines = [line for line in text.splitlines() if "input_digest" not in line]
+        out.append((argv[0], code, lines))
+    return out
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_decimal_integers_read_like_integers(path, tmp_path, capsys):
+    decimal = tmp_path / path.name
+    decimal.write_text(genlib.decimal_json(json.loads(path.read_text())))
+    assert ".0," in decimal.read_text()
+    assert _outputs(decimal, capsys) == _outputs(path, capsys)

@@ -202,9 +202,7 @@ class TestIntegerScaleIsExact:
         assert all(type(x) is int for x in ia + ib + itheta)
         assert dominates(ia, ib) == dominates(a, b)
         assert strictly_dominates(ia, ib) == strictly_dominates(a, b)
-        assert theta_prefers(ia, ib, itheta, strict=True) == theta_prefers(
-            a, b, theta, strict=True
-        )
+        assert theta_prefers(ia, ib, itheta) == theta_prefers(a, b, theta)
         assert (ia == ib) == (a == b)
         # The scan's sort order: a strict dominator has the larger scaled
         # sum, and equal images have equal sums.

@@ -87,6 +87,7 @@ def expect_error(obj, path_fragment, message_fragment):
 class TestRationalLiterals:
     def test_parse_rational_forms(self):
         assert parse_rational(3) == F(3)
+        assert parse_rational(b"1.25e1") == F(25, 2)
         assert parse_rational("-7") == F(-7)
         assert parse_rational("3/4") == F(3, 4)
         assert parse_rational("2/4") == F(1, 2)
@@ -351,6 +352,28 @@ class TestParseCache:
         keys = {fv.id: fv.value_key for fv in doc.scenario.functionings}
         assert keys == {"b_a": (1, 2), "b_b": (1, 2), "b_c": (1, 2)}
 
+    def test_number_and_string_vectors_are_never_compared(self, tmp_path):
+        # Equal text hashes alike as bytes and as str, and comparing the two
+        # raises under ``python -bb``; the caches must key them apart.
+        import subprocess
+
+        obj = base_doc()
+        obj["scenario"]["resources"][0]["values"] = ["@@"]
+        obj["scenario"]["characteristics"]["skill"] = "@@"
+        obj["scenario"]["theta"] = ["1.5"]
+        obj["scenario"]["social"]["support"] = "1.5"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(obj).replace('"@@"', "1.5"))
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-bb", "-m", "capkit", "validate", str(path)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+
     def test_equal_spellings_trip_image_check(self):
         with pytest.raises(DocumentError) as excinfo:
             parse_obj(self._equal_spellings_doc([2]))
@@ -375,9 +398,9 @@ def _with_copies(obj, field, copies, mechanisms=("information_filtering",)):
 
 
 class TestScenarioMemo:
-    """Equal scenario subtrees parse to one shared Scenario; a copy that
-    differs only in a literal's JSON type, or whose walk emits a diagnostic,
-    is walked again and diagnosed at its own path."""
+    """Equal scenario subtrees parse to one shared Scenario, and each copy
+    gets the first walk's diagnostics at its own path; a copy that differs
+    only in a literal's JSON type is walked again."""
 
     def test_believed_equal_to_main_is_shared(self, monkeypatch):
         import capkit.model.freedom as freedom
@@ -454,7 +477,7 @@ class TestScenarioMemo:
         assert self._diagnostics(obj) == [
             (
                 f"$.interactions[{i}].believed_scenario.functionings[0].unreachable",
-                "expected true or false, got int",
+                "expected true or false, got number",
             )
             for i in (0, 1)
         ]
@@ -519,9 +542,77 @@ class TestScenarioMemo:
         text = json.dumps(obj, default=lambda _: "@1.5@").replace('"@1.5@"', "1.5")
         doc, _ = parse_document(text)
         believed = [rec.believed_scenario for rec in doc.interactions]
-        assert believed[0] == believed[1] == doc.scenario
+        assert believed[0] is believed[1]
+        assert believed[0] == doc.scenario
         assert believed[0].resources[0].values == (F(3, 2),)
         assert serialize_scenario(believed[0]) == serialize_scenario(doc.scenario)
+
+    def test_decimal_copies_share_the_main_scenario(self, monkeypatch):
+        import capkit.model.freedom as freedom
+
+        obj = base_doc()
+        _with_copies(obj, "believed_scenario", [obj["scenario"], obj["scenario"]])
+        text = genlib.decimal_json(obj)
+        assert '"values": [1.0]' in text and '"format_version": 1,' in text
+        doc, warnings = parse_document(text)
+        assert warnings == []
+        believed = [rec.believed_scenario for rec in doc.interactions]
+        assert believed[0] is doc.scenario
+        assert believed[1] is doc.scenario
+
+        walks = []
+        original = freedom.dedupe_by_value
+        monkeypatch.setattr(
+            freedom, "dedupe_by_value", lambda q: walks.append(1) or original(q)
+        )
+        q = freedom.compute_freedom(doc.scenario)
+        assert all(freedom.compute_freedom(b) is q for b in believed)
+        assert len(walks) == 1
+
+    def test_lenient_oversized_unknown_field_is_shared(self):
+        obj = base_doc()
+        copy_obj = copy.deepcopy(obj["scenario"])
+        copy_obj["mood"] = "@@"
+        _with_copies(obj, "believed_scenario", [copy_obj, copy_obj])
+        text = json.dumps(obj).replace('"@@"', "1e99999")
+        doc, warnings = parse_document(text, lenient=True)
+        assert [(w.path, "unknown field 'mood'" in w.message) for w in warnings] == [
+            ("$.interactions[0].believed_scenario", True),
+            ("$.interactions[1].believed_scenario", True),
+        ]
+        believed = [rec.believed_scenario for rec in doc.interactions]
+        assert believed[0] is believed[1]
+        assert believed[0] == doc.scenario
+
+    def test_error_copies_are_diagnosed_at_each_path(self):
+        obj = base_doc()
+        broken = copy.deepcopy(obj["scenario"])
+        broken["theta"] = ["1/0"]
+        del broken["agent_id"]
+        _with_copies(obj, "believed_scenario", [broken, broken])
+        assert self._diagnostics(obj) == [
+            (f"$.interactions[{i}].believed_scenario{suffix}", message)
+            for i in (0, 1)
+            for suffix, message in (
+                ("", "missing required field 'agent_id'"),
+                (".theta[0]", "zero denominator in rational literal '1/0'"),
+            )
+        ]
+
+    def test_nesting_past_the_marshal_bound_is_a_json_error(self):
+        obj = base_doc()
+        obj["scenario"]["theta"] = "@@"
+        text = json.dumps(obj).replace('"@@"', "[" * 2100 + "]" * 2100)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)  # lets the decoder build the subtree
+        try:
+            with pytest.raises(DocumentError) as excinfo:
+                parse_document(text)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [str(d) for d in excinfo.value.diagnostics] == [
+            "error: document: not valid JSON: nesting too deep"
+        ]
 
 
 class TestDocumentShape:
@@ -541,7 +632,44 @@ class TestDocumentShape:
         text = '{"format_version": 1, "format_version": 1}'
         with pytest.raises(DocumentError) as excinfo:
             parse_document(text)
-        assert "duplicate object key" in excinfo.value.diagnostics[0].message
+        assert [str(d) for d in excinfo.value.diagnostics] == [
+            "error: $: duplicate object key 'format_version'"
+        ]
+
+    def test_duplicate_key_nested_two_objects_deep(self):
+        obj = base_doc()
+        text = json.dumps(obj).replace('"r": {', '"r": {"form": "linear", ', 1)
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(text)
+        assert [str(d) for d in excinfo.value.diagnostics] == [
+            "error: $: duplicate object key 'form'"
+        ]
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("true", "format_version must be the integer 1, not a boolean"),
+            ("1.0", "format_version must be the integer 1, not a decimal"),
+            ("1e0", "format_version must be the integer 1, not a decimal"),
+            ("2", "unsupported format_version 2; this build reads version 1"),
+            ('"1"', "unsupported format_version '1'; this build reads version 1"),
+            (
+                "-" + "1" * 5000,
+                f"unsupported format_version '-{'1' * 39}'... (5001 characters); "
+                "this build reads version 1",
+            ),
+        ],
+        ids=["boolean", "decimal", "exponent", "two", "string", "oversized"],
+    )
+    def test_format_version_kinds(self, literal, message):
+        text = json.dumps(base_doc()).replace(
+            '"format_version": 1', f'"format_version": {literal}'
+        )
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(text)
+        assert [(d.path, d.message) for d in excinfo.value.diagnostics] == [
+            ("$.format_version", message)
+        ]
 
     def test_missing_format_version(self):
         obj = base_doc()
@@ -585,6 +713,189 @@ class TestDocumentShape:
         paths = [d.path for d in excinfo.value.diagnostics]
         assert "$.scenario.functionings[0].values" in paths
         assert "$.scenario.functionings[1].values" in paths
+
+
+def _full_doc() -> dict:
+    """``base_doc`` with every kind of object that has required fields: a
+    guard, a linear map, an interaction record and a trace."""
+    obj = base_doc()
+    obj["scenario"]["utilization"][0]["guards"] = [
+        {"context": "characteristics", "component": "skill", "min": 1}
+    ]
+    obj["scenario"]["maps"]["r"] = {"form": "linear", "matrix": [[1]]}
+    obj["interactions"] = [_interaction_obj()]
+    obj["traces"] = [
+        {
+            "id": "t0",
+            "steps": [
+                {"interaction": "i_x", "target_choice": "b_a", "actor_desired": "b_b"}
+            ],
+        }
+    ]
+    return obj
+
+
+# (path of the parent object, its keys in _full_doc(), its required fields)
+REQUIRED_FIELDS = [
+    ("$", (), ["format_version", "scenario"]),
+    (
+        "$.scenario",
+        ("scenario",),
+        ["agent_id", "schemas", "resource_schema", "maps", "theta"],
+    ),
+    ("$.scenario.schemas.B[0]", ("scenario", "schemas", "B", 0), ["name"]),
+    ("$.scenario.resources[0]", ("scenario", "resources", 0), ["id", "values"]),
+    ("$.scenario.functionings[0]", ("scenario", "functionings", 0), ["id", "values"]),
+    (
+        "$.scenario.utilization[0]",
+        ("scenario", "utilization", 0),
+        ["pattern_id", "resource_id", "output"],
+    ),
+    (
+        "$.scenario.utilization[0].guards[0]",
+        ("scenario", "utilization", 0, "guards", 0),
+        ["context", "component", "min"],
+    ),
+    ("$.scenario.maps.v", ("scenario", "maps", "v"), ["form", "entries"]),
+    ("$.scenario.maps.r", ("scenario", "maps", "r"), ["form", "matrix"]),
+    (
+        "$.interactions[0]",
+        ("interactions", 0),
+        [
+            "id",
+            "actor_id",
+            "target",
+            "deltas",
+            "intent",
+            "mechanisms",
+            "actor_has_right",
+            "communication_feasible",
+            "proportionality_ok",
+        ],
+    ),
+    ("$.traces[0]", ("traces", 0), ["id", "steps"]),
+    (
+        "$.traces[0].steps[0]",
+        ("traces", 0, "steps", 0),
+        ["interaction", "target_choice", "actor_desired"],
+    ),
+]
+
+
+class TestMissingFields:
+    """A missing required field is diagnosed once, at its parent; ``null``
+    in its place is a type error at the field."""
+
+    def test_full_doc_is_valid(self):
+        parse_obj(_full_doc())
+
+    @pytest.mark.parametrize(
+        "parent, keys, field",
+        [(p, k, f) for p, k, fields in REQUIRED_FIELDS for f in fields],
+        ids=[f"{p}.{f}" for p, _, fields in REQUIRED_FIELDS for f in fields],
+    )
+    def test_missing_field_is_diagnosed_only_as_missing(self, parent, keys, field):
+        obj = _full_doc()
+        target = obj
+        for key in keys:
+            target = target[key]
+        del target[field]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj)
+        diagnostics = [(d.path, d.message) for d in excinfo.value.diagnostics]
+        assert (parent, f"missing required field {field!r}") in diagnostics
+        at_field = f"{parent}.{field}"
+        assert [
+            (path, message)
+            for path, message in diagnostics
+            if path == at_field or path.startswith((at_field + ".", at_field + "["))
+        ] == []
+
+    def test_null_is_still_a_type_error(self):
+        obj = base_doc()
+        obj["scenario"]["agent_id"] = None
+        obj["scenario"]["theta"] = None
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj)
+        assert [(d.path, d.message) for d in excinfo.value.diagnostics] == [
+            ("$.scenario.agent_id", "expected a non-empty string"),
+            ("$.scenario.theta", "expected an array, got null"),
+        ]
+
+
+# Raw JSON of each kind, and the kind a diagnostic names it by.
+JSON_KINDS = [
+    ("{}", "object"),
+    ("[]", "array"),
+    ('"x"', "string"),
+    ("1", "number"),
+    ("1.5", "number"),
+    ("1e99999", "number"),
+    ("1" * 5000, "number"),
+    ("true", "boolean"),
+    ("null", "null"),
+]
+
+
+class TestJsonKindDiagnostics:
+    """Misplaced values are named by their JSON kind, never by the Python
+    type the decoder gave them."""
+
+    POSITIONS = {
+        "object": ("$.scenario.maps", ("scenario", "maps"), "an object"),
+        "array": ("$.scenario.theta", ("scenario", "theta"), "an array"),
+        "boolean": (
+            "$.scenario.functionings[0].unreachable",
+            ("scenario", "functionings", 0, "unreachable"),
+            "true or false",
+        ),
+        "rational": (
+            "$.scenario.characteristics.skill",
+            ("scenario", "characteristics", "skill"),
+            "a rational literal",
+        ),
+    }
+    # What the rational position says of each kind it does not reject by kind.
+    RATIONAL = {
+        '"x"': "malformed rational literal 'x'",
+        "1": None,
+        "1.5": None,
+        "1e99999": "rational literal '1e99999' is too large",
+        "1" * 5000: "is too large",
+        "true": "expected a rational literal, got boolean True",
+    }
+
+    @pytest.mark.parametrize("position", sorted(POSITIONS))
+    @pytest.mark.parametrize(
+        "raw, kind", JSON_KINDS, ids=[kind + ":" + raw[:8] for raw, kind in JSON_KINDS]
+    )
+    def test_kind_is_named(self, position, raw, kind):
+        path, keys, expected = self.POSITIONS[position]
+        obj = base_doc()
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = "@@"
+        text = json.dumps(obj).replace('"@@"', raw)
+        try:
+            parse_document(text)
+            diagnostics = []
+        except DocumentError as exc:
+            diagnostics = [(d.path, d.message) for d in exc.diagnostics]
+        for _, message in diagnostics:
+            for word in ("bytes", "Fraction", "OversizedLiteral", "NoneType"):
+                assert word not in message
+        if position == "rational" and raw in self.RATIONAL:
+            want = self.RATIONAL[raw]
+        elif position == kind or (position, kind) == ("rational", "number"):
+            want = None
+        else:
+            want = f"expected {expected}, got {kind}"
+        at_path = [message for p, message in diagnostics if p == path]
+        if want is None:  # the kind fits; the value may still be wrong
+            assert not any(f"expected {expected}" in m for m in at_path)
+        else:
+            assert len(at_path) == 1 and want in at_path[0], diagnostics
 
 
 class TestScenarioValidation:

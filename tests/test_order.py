@@ -109,36 +109,15 @@ class TestSatSet:
 
 class TestThetaPreference:
     @given(pairs_with_theta)
-    def test_weak_reflexive(self, case):
-        a, _, theta = case
-        assert theta_prefers(a, a, theta, strict=False)
-
-    @given(pairs_with_theta)
     def test_strict_irreflexive(self, case):
         a, _, theta = case
-        assert not theta_prefers(a, a, theta, strict=True)
-
-    @given(triples_with_theta)
-    def test_weak_transitive(self, case):
-        a, b, c, theta = case
-        if theta_prefers(a, b, theta, strict=False) and theta_prefers(
-            b, c, theta, strict=False
-        ):
-            assert theta_prefers(a, c, theta, strict=False)
+        assert not theta_prefers(a, a, theta)
 
     @given(triples_with_theta)
     def test_strict_transitive(self, case):
         a, b, c, theta = case
-        if theta_prefers(a, b, theta, strict=True) and theta_prefers(
-            b, c, theta, strict=True
-        ):
-            assert theta_prefers(a, c, theta, strict=True)
-
-    @given(pairs_with_theta)
-    def test_weak_plus_strict_dominance_gives_strict(self, case):
-        a, b, theta = case
-        if theta_prefers(a, b, theta, strict=False) and strictly_dominates(a, b):
-            assert theta_prefers(a, b, theta, strict=True)
+        if theta_prefers(a, b, theta) and theta_prefers(b, c, theta):
+            assert theta_prefers(a, c, theta)
 
     @given(pairs_with_theta)
     def test_strict_pareto_with_sat_containment(self, case):
@@ -146,40 +125,39 @@ class TestThetaPreference:
         # sufficient for the strict preference.
         a, b, theta = case
         if strictly_dominates(a, b):
-            assert theta_prefers(a, b, theta, strict=True)
+            assert theta_prefers(a, b, theta)
 
     def test_threshold_crossing_beats_pareto_loss(self):
         # Crossing a previously unmet minimum is a strict improvement even
-        # at a Pareto cost elsewhere.  The strict form is deliberately not a
-        # refinement of the weak form here: the weak form still demands
-        # componentwise dominance, which this trade-off lacks.
+        # at a Pareto cost elsewhere, where the weak form (``dominates``)
+        # still demands componentwise dominance.
         theta = (F(1), F(1))
         a, b = (F(1), F(1)), (F(0), F(2))
-        assert theta_prefers(a, b, theta, strict=True)
-        assert not theta_prefers(a, b, theta, strict=False)
-        assert not theta_prefers(b, a, theta, strict=True)
+        assert theta_prefers(a, b, theta)
+        assert not dominates(a, b)
+        assert not theta_prefers(b, a, theta)
 
     def test_frozen_examples(self):
         theta = (F(1), F(1))
         # strict via pure dominance inside full sat-sets
-        assert theta_prefers((F(2), F(1)), (F(1), F(1)), theta, strict=True)
+        assert theta_prefers((F(2), F(1)), (F(1), F(1)), theta)
         # incomparable sat-sets: neither direction holds
-        assert not theta_prefers((F(0), F(3)), (F(2), F(0)), theta, strict=True)
-        assert not theta_prefers((F(2), F(0)), (F(0), F(3)), theta, strict=True)
-        # equal vectors: weak yes, strict no
-        assert theta_prefers((F(1), F(0)), (F(1), F(0)), theta, strict=False)
-        assert not theta_prefers((F(1), F(0)), (F(1), F(0)), theta, strict=True)
+        assert not theta_prefers((F(0), F(3)), (F(2), F(0)), theta)
+        assert not theta_prefers((F(2), F(0)), (F(0), F(3)), theta)
+        # equal vectors are not strictly preferred
+        assert not theta_prefers((F(1), F(0)), (F(1), F(0)), theta)
         # dominance without sat gain, below every threshold
-        assert theta_prefers((F(1, 2), F(1, 2)), (F(0), F(0)), theta, strict=True)
+        assert theta_prefers((F(1, 2), F(1, 2)), (F(0), F(0)), theta)
 
     def test_length_mismatch(self):
         with pytest.raises(SchemaError):
-            theta_prefers((F(1),), (F(1),), (F(1), F(1)), strict=False)
+            theta_prefers((F(1),), (F(1),), (F(1), F(1)))
 
 
 class TestThetaPreferenceReduction:
-    """The reduced forms in ``theta_prefers`` against the raw definitions,
-    on vectors over the acceptance suite's rational pool."""
+    """The reduced form in ``theta_prefers``, and the weak form's reduction
+    to ``dominates``, against the raw definitions, on vectors over the
+    acceptance suite's rational pool."""
 
     def test_matches_oracle_definitions(self):
         rng = random.Random(1103)
@@ -193,8 +171,8 @@ class TestThetaPreferenceReduction:
                     b = tuple(x - rng.choice((F(0), F(1, 2), F(1))) for x in a)
                 theta = genlib.vector(rng, dim)
                 strict = oracle._theta_strict(a, b, theta)
-                assert theta_prefers(a, b, theta, strict=False) == oracle._theta_weak(a, b, theta)
-                assert theta_prefers(a, b, theta, strict=True) == strict
+                assert dominates(a, b) == oracle._theta_weak(a, b, theta)
+                assert theta_prefers(a, b, theta) == strict
                 if strict and not strictly_dominates(a, b):
                     sat_only += 1
                 elif strict:
