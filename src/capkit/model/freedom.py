@@ -68,7 +68,9 @@ def maximal_plans(s: Scenario) -> tuple[FunctioningVector, ...]:
 
 @_per_scenario
 def maximal_transient(s: Scenario) -> tuple[FunctioningVector, ...]:
-    """M(Q) under the transient valuation u."""
+    """M(Q) under the transient valuation u: M itself when u is v's map."""
+    if "u" not in s.maps:
+        return maximal_plans(s)
     return maximal_set(compute_freedom(s), s.u)
 
 

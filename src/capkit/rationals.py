@@ -6,8 +6,9 @@ strings, or ``p/q`` strings, and every comparison is exact, so there are no
 epsilon tolerances anywhere in the engine.
 
 A JSON number decodes to an ``int``, or else to its text as ``bytes``, which
-:func:`parse_rational` reads like a string; bytes keep the number ``1.5``
-apart from the string ``"1.5"`` in raw keys.
+:func:`parse_rational` reads like a string.  Every decoded tree is then
+marshallable, so the parser keys each raw value by its marshal bytes, in
+which the number ``1.5`` (bytes) and the string ``"1.5"`` differ.
 """
 
 from __future__ import annotations

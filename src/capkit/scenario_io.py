@@ -53,6 +53,7 @@ from .model.types import (
     value_key_of,
 )
 from .rationals import (
+    _ECHO_CHARS,
     _echo,
     exceeds_digit_limit,
     format_rational,
@@ -122,16 +123,14 @@ def _reject_constant(name):
     raise ValueError(f"non-finite literal {name}")
 
 
-# Raw literal types whose parse is cached: strings and the two forms of a
-# JSON number.  The type is part of every key: True == 1 hashes like 1, so
-# a key by value alone would let a boolean skip its rejection.
-_INTERNED = frozenset({str, int, bytes})
-
 # What ``require`` returns for a missing field.  The field is diagnosed
 # there, so the shape helpers return None for it without a second message.
 _MISSING = object()
 
 _TOO_DEEP = Diagnostic("error", "document", "not valid JSON: nesting too deep")
+
+# Decoded kinds that are never a version, named as the diagnostic names them.
+_NOT_A_VERSION = {bool: "a boolean", dict: "an object", list: "an array", type(None): "null"}
 
 
 def _equal_value_pairs(functionings) -> list[tuple[str, str]]:
@@ -149,34 +148,21 @@ def _equal_value_pairs(functionings) -> list[tuple[str, str]]:
 class _Parser:
     """Accumulates located diagnostics while walking the document tree.
 
-    A document repeats a few distinct literals and vectors many times, so
-    each is parsed once: successful parses are cached per parser, keyed by
-    raw type and value (failures are not cached, so every bad literal gets
-    its own located diagnostic).  Fractions and tuples are immutable, so
-    sharing them is safe.
-
-    Interaction records repeat whole scenarios (a believed world equal to
-    the true one, one threat world per record), so equal scenario subtrees
-    also parse to one shared :class:`Scenario`, whose derived sets are then
-    computed once.  Subtrees are compared by ``marshal.dumps(raw, 2)``, not
-    by ``==``: ``True == 1``, yet only the integer is a valid rational and
-    only the boolean a valid flag.  Marshal writes a distinct type code for
-    each (and for ``bytes``, the raw form of a non-int number), so equal
-    bytes mean the same types and values in the same key order, hence the
-    same walk.  Version 2 writes strings without interning marks or
-    back-references, so the bytes depend on the value alone.
+    A document repeats a few distinct literals and vectors many times, and
+    its interaction records repeat whole scenarios (a believed world equal
+    to the true one, one threat world per record).  Each of these is walked
+    once per distinct raw value (:meth:`memo`): equal copies share one
+    result, so equal scenario subtrees parse to one :class:`Scenario` whose
+    derived sets are then computed once.
     """
 
     def __init__(self, lenient: bool):
         self.lenient = lenient
         self.diagnostics: list[Diagnostic] = []
-        self._rationals: dict[tuple, Fraction] = {}
-        self._vectors: dict[tuple, tuple] = {}
+        self._rationals: dict[bytes, tuple] = {}
+        self._vectors: dict[bytes, tuple] = {}
+        self._scenarios: dict[bytes, tuple] = {}
         self._value_keys: dict[int, tuple] = {}
-        # hash(marshal bytes) -> [(raw subtree, walk result, its diagnostics
-        # with paths relative to the subtree)]; holding the raw tree (alive
-        # for the whole parse anyway) instead of the key bytes.
-        self._scenarios: dict[int, list[tuple]] = {}
 
     # -- diagnostics -------------------------------------------------------
 
@@ -213,19 +199,46 @@ class _Parser:
     def boolean(self, value, path) -> Optional[bool]:
         return value if isinstance(value, bool) else self.mistyped(value, path, "true or false")
 
-    def rational(self, value, path) -> Optional[Fraction]:
-        key = (type(value), value) if type(value) in _INTERNED else None
-        rat = self._rationals.get(key)
-        if rat is not None or value is _MISSING:
-            return rat
+    def memo(self, cache: dict, walk, raw, path: str):
+        """``walk(raw, path)``, run once per distinct ``raw`` in ``cache``.
+
+        Raw values are keyed by ``marshal.dumps(raw, 2)``, not compared by
+        ``==``: ``True == 1``, yet only the integer is a valid rational and
+        only the boolean a valid flag.  Marshal writes a distinct type code
+        for each (and for ``bytes``, the raw form of a non-int number, apart
+        from ``str``), so equal bytes mean the same types and values in the
+        same key order, hence the same walk; version 2 writes no interning
+        marks, so the bytes depend on the value alone.  A walk depends on
+        ``raw`` and ``lenient`` alone and each of its diagnostics lies under
+        ``path``, so a hit re-emits the first walk's diagnostics under its
+        own path: exactly what a fresh walk would.  Results are immutable,
+        so copies may share them.
+        """
         try:
-            rat = parse_rational(value)
+            key = marshal.dumps(raw, 2)
+        except ValueError:  # nested past marshal's bound (a raised recursion limit)
+            raise DocumentError([_TOO_DEEP]) from None
+        hit = cache.get(key)
+        if hit is None:
+            before = len(self.diagnostics)
+            result = walk(raw, path)
+            found = tuple(replace(d, path=d.path[len(path):]) for d in self.diagnostics[before:])
+            hit = cache[key] = (result, found)
+        elif hit[1]:
+            self.diagnostics += [replace(d, path=path + d.path) for d in hit[1]]
+        return hit[0]
+
+    def rational(self, value, path) -> Optional[Fraction]:
+        if value is _MISSING:
+            return None
+        return self.memo(self._rationals, self._walk_rational, value, path)
+
+    def _walk_rational(self, value, path) -> Optional[Fraction]:
+        try:
+            return parse_rational(value)
         except SchemaError as exc:
             self.error(path, str(exc))
             return None
-        if key is not None:
-            self._rationals[key] = rat
-        return rat
 
     def require(self, obj: dict, key: str, path: str):
         if key not in obj:
@@ -249,26 +262,20 @@ class _Parser:
         arr = self.array(value, path)
         if arr is None:
             return None
-        # As in rational(), the key holds the item types, and holds them
-        # first, so keys compare types before items: items of two types are
-        # never compared (bytes == str warns under ``python -b``).
-        types = tuple(map(type, arr))
-        key = (*types, *arr) if _INTERNED.issuperset(types) else None
-        out = self._vectors.get(key)
-        if out is None:
-            items = []
-            for i, item in enumerate(arr):
-                rat = self.rational(item, f"{path}[{i}]")
-                if rat is None:
-                    return None
-                items.append(rat)
-            out = tuple(items)
-            if key is not None:
-                self._vectors[key] = out
-        if length is not None and len(out) != length:
+        out = self.memo(self._vectors, self._walk_vector, arr, path)
+        if out is not None and length is not None and len(out) != length:
             self.error(path, f"expected {length} components, got {len(out)}")
             return None
         return out
+
+    def _walk_vector(self, arr: list, path) -> Optional[tuple]:
+        items = []
+        for i, item in enumerate(arr):
+            rat = self.rational(item, f"{path}[{i}]")
+            if rat is None:
+                return None
+            items.append(rat)
+        return tuple(items)
 
     def value_key(self, values: tuple) -> tuple[int, ...]:
         """``value_key_of(values)``, built once per distinct parsed vector.
@@ -344,30 +351,10 @@ class _Parser:
     }
 
     def scenario(self, value, path) -> Optional[Scenario]:
-        """Parse a scenario subtree, once per distinct subtree.
-
-        A walk depends on the subtree and ``lenient`` alone, and each of its
-        diagnostics lies under ``path``, so a hit re-emits the first walk's
-        diagnostics under its own path: exactly what a fresh walk would.
-        """
         obj = self.obj(value, path)
         if obj is None:
             return None
-        try:
-            key = marshal.dumps(obj, 2)
-        except ValueError:  # nested past marshal's bound (a raised recursion limit)
-            raise DocumentError([_TOO_DEEP]) from None
-        bucket = self._scenarios.setdefault(hash(key), [])
-        for raw, parsed, found in bucket:
-            if marshal.dumps(raw, 2) == key:
-                self.diagnostics += [replace(d, path=path + d.path) for d in found]
-                return parsed
-        del key  # hold no key bytes through the walk
-        before = len(self.diagnostics)
-        parsed = self._walk_scenario(obj, path)
-        found = [replace(d, path=d.path[len(path):]) for d in self.diagnostics[before:]]
-        bucket.append((obj, parsed, found))
-        return parsed
+        return self.memo(self._scenarios, self._walk_scenario, obj, path)
 
     def _walk_scenario(self, obj: dict, path) -> Optional[Scenario]:
         self.check_fields(obj, self.SCENARIO_FIELDS, path)
@@ -1158,18 +1145,21 @@ def parse_document(
         version = p.require(obj, "format_version", "$")
         # True == 1 and 1.0 means 1, so the kind comes first: the version is
         # the JSON integer 1.  Bytes hold a decimal or an over-long integer.
-        kind = "a boolean" if type(version) is bool else None
-        shown = repr(version)
-        if type(version) is bytes:
-            shown = _echo(version.decode())
-            if not version.lstrip(b"-").isdigit():
-                kind = "a decimal"
+        kind = _NOT_A_VERSION.get(type(version))
+        if type(version) is bytes and not version.lstrip(b"-").isdigit():
+            kind = "a decimal"
         if kind is not None:
             p.error(
                 "$.format_version",
                 f"format_version must be the integer {FORMAT_VERSION}, not {kind}",
             )
         elif version is not _MISSING and version != FORMAT_VERSION:
+            if type(version) is str:
+                shown = _echo(version)
+            else:  # an int, or the bytes of one past the digit limit
+                shown = version.decode() if type(version) is bytes else str(version)
+                if len(shown) > _ECHO_CHARS:
+                    shown = _echo(shown)
             p.error(
                 "$.format_version",
                 f"unsupported format_version {shown}; this build reads "

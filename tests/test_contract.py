@@ -8,13 +8,16 @@ ransomware threat record that make its counterfactual scenario disagree
 with the main one in a dimension schema or in the transient map ``u``.
 
 Each shipped fixture is also rewritten with its JSON integers as decimals
-(``n.0``): every command must then print what it prints for the original.
+(``n.0``): every command must then print what it prints for the original,
+also under ``python -bb``.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,3 +142,45 @@ def test_decimal_integers_read_like_integers(path, tmp_path, capsys):
     decimal.write_text(genlib.decimal_json(json.loads(path.read_text())))
     assert ".0," in decimal.read_text()
     assert _outputs(decimal, capsys) == _outputs(path, capsys)
+
+
+# Runs the ``cli.main`` argument lists read from stdin; prints each one's
+# exit code and stderr as JSON.
+_CHILD = """
+import contextlib, io, json, sys
+import capkit.cli as cli
+results = []
+for argv in json.loads(sys.stdin.read()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append([cli.main(argv), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_no_bytes_str_comparison_on_any_fixture(tmp_path, capsys):
+    # Under ``python -bb`` comparing bytes with str raises, and cli.main
+    # turns that into exit 3; every run must print what it prints without.
+    runs = []
+    for path in SHIPPED:
+        doc = json.loads(path.read_text())
+        decimal = tmp_path / path.name
+        decimal.write_text(genlib.decimal_json(doc))
+        commands = ["validate"]
+        commands += ["judge"] * bool(doc.get("interactions"))
+        commands += ["detect"] * bool(doc.get("traces"))
+        runs += [[command, str(p)] for p in (path, decimal) for command in commands]
+    expected = []
+    for argv in runs:
+        code = cli.main(argv)
+        expected.append([code, capsys.readouterr().err])
+    assert all(code in (0, 1, 2) for code, _ in expected)
+    done = subprocess.run(
+        [sys.executable, "-bb", "-c", _CHILD],
+        input=json.dumps(runs),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == expected

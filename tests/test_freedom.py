@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import genlib
+from capkit.model import freedom
 from capkit.model.freedom import access_profile, compute_freedom, compute_real_freedom
 from capkit.model.types import (
     Dimension,
@@ -176,6 +177,21 @@ class TestRealFreedom:
             "b_takeout",
         ]
         assert [fv.id for fv in q_star] == ["b_home_cooking", "b_simple_meals"]
+
+
+class TestSharedFrontiers:
+    def test_undeclared_u_shares_m(self, monkeypatch):
+        # grocery.scn declares no u, so s.u is v's map and M(Q) under u is M.
+        calls = []
+        original = freedom.maximal_set
+        monkeypatch.setattr(
+            freedom, "maximal_set", lambda *args: calls.append(1) or original(*args)
+        )
+        doc, _ = parse_document((FIXTURES / "grocery.scn").read_text())
+        s = doc.scenario
+        assert "u" not in s.maps
+        assert freedom.maximal_transient(s) is freedom.maximal_plans(s)
+        assert len(calls) == 1
 
 
 class TestAccessProfile:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import marshal
 import random
 import sys
 import time
@@ -11,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genlib
@@ -285,6 +286,57 @@ class TestLinearImageBound:
         ]
 
 
+# JSON-decoded trees: what the decoder yields, with a JSON number that is
+# not an int held as its text in bytes.
+_TREES = st.recursive(
+    st.booleans()
+    | st.none()
+    | st.integers()
+    | st.text(max_size=4)
+    | st.builds(lambda n, f: f"{n}.{f}".encode(), st.integers(-99, 99), st.integers(0, 99)),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=10,
+)
+
+
+def _node_paths(tree, path=()):
+    yield path
+    if type(tree) in (list, dict):
+        for key, item in (tree.items() if type(tree) is dict else enumerate(tree)):
+            yield from _node_paths(item, (*path, key))
+
+
+_RETYPED = {bool: int, int: bool, str: str.encode, bytes: bytes.decode, type(None): lambda _: 0}
+
+
+def _rebuild(tree, path=None):
+    """A fresh copy of ``tree``; with ``path``, a near-copy whose node there
+    is changed: a leaf retyped (true/1, "1.5"/b"1.5", null/0), an object's
+    keys or an array's items reversed."""
+    if type(tree) not in (dict, list):
+        return _RETYPED[type(tree)](tree) if path == () else tree
+    items = list(tree.items() if type(tree) is dict else enumerate(tree))
+    if path == ():
+        items.reverse()
+    out = [
+        (key, _rebuild(item, path[1:] if path and path[0] == key else None))
+        for key, item in items
+    ]
+    return dict(out) if type(tree) is dict else [item for _, item in out]
+
+
+def _same(a, b) -> bool:
+    """Equal trees with equal types at every node and keys in equal order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return list(a) == list(b) and all(_same(a[key], b[key]) for key in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 class TestParseCache:
     """Each distinct literal and vector is parsed once per document; the
     cache must never let a bad literal through or swallow a diagnostic."""
@@ -381,6 +433,58 @@ class TestParseCache:
             "error: $.scenario.maps.v.entries: functionings 'b_a' and 'b_c' have "
             "equal values but different 'v' images"
         ]
+
+    def test_repeated_bad_vector_diagnosed_at_each_path(self):
+        obj = base_doc()
+        obj["scenario"]["resource_schema"] = [{"name": "stuff"}, {"name": "time"}]
+        obj["scenario"]["resources"] = [{"id": "x0", "values": [1, 1]}]
+        believed = copy.deepcopy(obj["scenario"])
+        believed["resources"] = [{"id": f"x{i}", "values": ["1/0", 1]} for i in range(2)]
+        added = {"resources_added": [{"id": "x9", "values": ["1/0", 1]}]}
+        obj["interactions"] = [
+            _interaction_obj(id="i_0", believed_scenario=believed),
+            _interaction_obj(id="i_1", deltas=added),
+        ]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj)
+        assert [(d.path, d.message) for d in excinfo.value.diagnostics] == [
+            (path, "zero denominator in rational literal '1/0'")
+            for path in (
+                "$.interactions[0].believed_scenario.resources[0].values[0]",
+                "$.interactions[0].believed_scenario.resources[1].values[0]",
+                "$.interactions[1].deltas.resources_added[0].values[0]",
+            )
+        ]
+
+    def test_literal_nested_past_the_marshal_bound_is_a_json_error(self, tmp_path, capsys):
+        import capkit.cli as cli
+
+        obj = base_doc()
+        obj["interactions"] = [
+            _interaction_obj(deltas={"characteristics_delta": {"skill": "@@"}})
+        ]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(obj).replace('"@@"', "[" * 2100 + "]" * 2100))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)  # lets the decoder build the literal
+        try:
+            code = cli.main(["validate", str(path)])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (code, capsys.readouterr().err) == (
+            2,
+            "error: document: not valid JSON: nesting too deep\n",
+        )
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_TREES, _TREES, st.data())
+    def test_marshal_key_is_type_strict_equality(self, tree, other, data):
+        # The parser's memo keys on these bytes: equal keys must mean equal
+        # types, values and key order, down to every leaf.
+        near = _rebuild(tree, data.draw(st.sampled_from(list(_node_paths(tree)))))
+        for b in (_rebuild(tree), near, other):
+            keys_equal = marshal.dumps(tree, 2) == marshal.dumps(b, 2)
+            assert keys_equal == _same(tree, b)
 
 
 def _with_copies(obj, field, copies, mechanisms=("information_filtering",)):
@@ -658,8 +762,25 @@ class TestDocumentShape:
                 f"unsupported format_version '-{'1' * 39}'... (5001 characters); "
                 "this build reads version 1",
             ),
+            ("null", "format_version must be the integer 1, not null"),
+            ('{"a": true}', "format_version must be the integer 1, not an object"),
+            ("[true]", "format_version must be the integer 1, not an array"),
+            (json.dumps([1] * 20_000), "format_version must be the integer 1, not an array"),
+            (
+                json.dumps("x" * 100_000),
+                f"unsupported format_version '{'x' * 40}'... (100000 characters); "
+                "this build reads version 1",
+            ),
+            (
+                "9" * 60,
+                f"unsupported format_version '{'9' * 40}'... (60 characters); "
+                "this build reads version 1",
+            ),
         ],
-        ids=["boolean", "decimal", "exponent", "two", "string", "oversized"],
+        ids=[
+            "boolean", "decimal", "exponent", "two", "string", "oversized", "null",
+            "object", "array", "long-array", "long-string", "long-integer",
+        ],
     )
     def test_format_version_kinds(self, literal, message):
         text = json.dumps(base_doc()).replace(
@@ -667,9 +788,9 @@ class TestDocumentShape:
         )
         with pytest.raises(DocumentError) as excinfo:
             parse_document(text)
-        assert [(d.path, d.message) for d in excinfo.value.diagnostics] == [
-            ("$.format_version", message)
-        ]
+        diagnostics = excinfo.value.diagnostics
+        assert [(d.path, d.message) for d in diagnostics] == [("$.format_version", message)]
+        assert len(str(diagnostics[0])) < 200
 
     def test_missing_format_version(self):
         obj = base_doc()
