@@ -21,8 +21,7 @@ from ..model.freedom import (
     maximal_plans,
     maximal_transient,
 )
-from ..model.frontier import maximal_set
-from ..model.order import dominates
+from ..model.frontier import maximal_set, meeting
 from ..model.types import FunctioningVector, Scenario, value_set
 from .improvement import unmatched
 from .records import InteractionRecord, MaterializedStep
@@ -193,7 +192,7 @@ def detect_coercion(
     # Freedoms with no weakly-as-good counterpart in the threatened world,
     # searched over its frontier under the same valuation.
     q_before = compute_freedom(before)
-    v_witnesses = unmatched(q_before, maximal_plans(threat), before.v.apply, threat.v.apply)
+    v_witnesses = unmatched(q_before, maximal_plans(threat), before.v, threat.v)
 
     profile_before = access_profile(before)
     profile_threat = access_profile(threat)
@@ -206,9 +205,7 @@ def detect_coercion(
         compute_real_freedom(threat)
     )
 
-    u_witnesses = unmatched(
-        q_before, maximal_transient(threat), before.u.apply, threat.u.apply
-    )
+    u_witnesses = unmatched(q_before, maximal_transient(threat), before.u, threat.u)
 
     if not v_witnesses and not dropped_dims and not joint_drop and not u_witnesses:
         return None
@@ -289,7 +286,9 @@ def detect_deception(
     present = [
         true_by_value[b.value_key] for b in m_believed if b.value_key in true_by_value
     ]
-    unmatched_values = value_set(unmatched(present, m_true, after.v.apply, after.v.apply))
+    unmatched_values = value_set(unmatched(present, m_true, after.v, after.v))
+    in_q = [fv for fv in present if fv.value_key in q_true_values]
+    below_theta = value_set(in_q) - value_set(meeting(in_q, after.r, after.theta.values))
     serious_items = []
     for bhat in m_believed:
         counterpart = true_by_value.get(bhat.value_key)
@@ -311,9 +310,7 @@ def detect_deception(
                     "believed-best choice",
                 }
             )
-        elif counterpart.value_key in q_true_values and not dominates(
-            after.r.apply(counterpart), after.theta.values
-        ):
+        elif counterpart.value_key in below_theta:
             serious_items.append(
                 {
                     "kind": "choice_below_threshold",

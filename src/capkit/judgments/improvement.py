@@ -34,20 +34,20 @@ The same replacement lets every ∀∃ scan (:func:`unmatched`) search M(S')
 instead of S'.  Its S side stays whole wherever the unmatched elements
 themselves are reported.  The oracle keeps the raw formulas.
 
-The clauses compare int tuples, not Fractions.  Every image in one check,
-and θ with them, is put on one scale by
-:func:`~capkit.model.frontier.integer_images`: component k is multiplied by
-the lcm D_k of the denominators in column k, which makes it an exact int.
-Since D_k > 0, x ≥ y iff D_k·x ≥ D_k·y, so ⪰, ≻, equality and the sat
-sets against θ are unchanged.  That holds only when both sides of a
-comparison share D_k, so S, S', their frontiers and θ are scaled together.
+The clauses compare int tuples, not Fractions, through the kernels of
+:mod:`~capkit.model.frontier`.  The scale is chosen once per map, not per
+comparison: component k of every image of a map is multiplied by the lcm
+D_k of the denominators in column k over all of that map's images, and θ
+goes on it as ⌈θ_k·D_k⌉.  Since D_k > 0, ⪰, ≻, equality and the sat sets
+are unchanged.  Before and after an interaction share their map objects,
+hence their scale; images of two different maps meet on the lcm of both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..model.freedom import (
     AccessProfile,
@@ -58,52 +58,31 @@ from ..model.freedom import (
     maximal_real_freedom,
     maximal_transient,
 )
-from ..model.frontier import Valuation, as_applier, integer_images, maximal_indices
-from ..model.order import dominates, strictly_dominates, theta_prefers
+from ..model.frontier import Valuation, covered, scaled_images, skyline, strictly_beaten
 from ..model.types import FunctioningVector, Scenario, ValuationMap, value_set
-
-Image = Callable[[FunctioningVector], Sequence[Fraction]]
 
 
 def unmatched(
     s_set: Sequence[FunctioningVector],
     s_prime: Sequence[FunctioningVector],
-    img_before: Image,
-    img_after: Image,
+    w_before: Valuation,
+    w_after: Valuation,
 ) -> list[FunctioningVector]:
-    """Members b of S with no b' in S' such that img_after(b') ⪰ img_before(b):
+    """Members b of S with no b' in S' such that w_after(b') ⪰ w_before(b):
     the counterexamples to the universal clause ∀b∈S ∃b'∈S'.
 
-    Passing M(S') under img_after as ``s_prime`` gives the same list, since
+    Passing M(S') under w_after as ``s_prime`` gives the same list, since
     any b' ⪰ b lies under some maximal a* ⪰ b.  The engine does so.
     """
-    before, after = integer_images(
-        [img_before(b) for b in s_set], [img_after(bp) for bp in s_prime]
-    )
-    return [
-        b for b, target in zip(s_set, before)
-        if not any(dominates(img, target) for img in after)
-    ]
+    (before, after), _, _ = scaled_images([(s_set, w_before), (s_prime, w_after)])
+    return [b for b, ok in zip(s_set, covered(before, after)) if not ok]
 
 
-def _clauses_hold(
-    before: Sequence[Sequence[Fraction]],
-    m_before: Sequence[Sequence[Fraction]],
-    m_after: Sequence[Sequence[Fraction]],
-    theta: Optional[Sequence[Fraction]],
-) -> bool:
+def _clauses_hold(before, m_before, m_after, theta) -> bool:
     """The ∀∃ clause over M(S) × M(S') and the strict ∃∃ clause over
-    S × M(S'), on images: all of S, and the two frontiers.  θ is put on
-    the images' integer scale with them."""
-    before, m_before, m_after, thetas = integer_images(
-        before, m_before, m_after, () if theta is None else (theta,)
-    )
-    if not all(any(dominates(a, t) for a in m_after) for t in m_before):
-        return False
-    if theta is None:
-        return any(strictly_dominates(a, t) for t in before for a in m_after)
-    (theta,) = thetas
-    return any(theta_prefers(a, t, theta) for t in before for a in m_after)
+    S × M(S'), on int images (all of S, and the two frontiers) and θ on
+    their scale."""
+    return all(covered(m_before, m_after)) and strictly_beaten(before, m_after, theta)
 
 
 def improves(
@@ -129,14 +108,13 @@ def improves(
     """
     if require_change and value_set(s_set) == value_set(s_prime):
         return False
-    img_before = as_applier(w)
-    img_after = img_before if w_after is None else as_applier(w_after)
-    before = [img_before(b) for b in s_set]
-    after = [img_after(bp) for bp in s_prime]
+    (before, after), _, theta = scaled_images(
+        [(s_set, w), (s_prime, w if w_after is None else w_after)], theta
+    )
     return _clauses_hold(
         before,
-        [before[i] for i in maximal_indices(before)],
-        [after[i] for i in maximal_indices(after)],
+        [before[i] for i in skyline(before)],
+        [after[i] for i in skyline(after)],
         theta,
     )
 
@@ -173,12 +151,8 @@ def _side_improves(
     (s_set, m_s, w), (s_prime, m_s_prime, w_after) = before, after
     if require_change and value_set(s_set) == value_set(s_prime):
         return False
-    return _clauses_hold(
-        [w.apply(b) for b in s_set],
-        [w.apply(b) for b in m_s],
-        [w_after.apply(b) for b in m_s_prime],
-        theta,
-    )
+    images, _, theta = scaled_images([(s_set, w), (m_s, w), (m_s_prime, w_after)], theta)
+    return _clauses_hold(*images, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +274,7 @@ def condition2(before: Scenario, after: Scenario) -> Condition2Result:
     M(Q_after, v).
     """
     m_before = maximal_plans(before)
-    missing = unmatched(m_before, maximal_plans(after), before.v.apply, after.v.apply)
+    missing = unmatched(m_before, maximal_plans(after), before.v, after.v)
     if missing:
         evidence = tuple(
             {

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .frontier import maximal_set
-from .order import dominates
+from .frontier import maximal_set, meeting, scaled_images
 from .types import FunctioningVector, Scenario, dedupe_by_value
 
 
@@ -54,10 +53,7 @@ def compute_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
 @_per_scenario
 def compute_real_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
     """The real freedom set Q*: members of Q whose r-image meets every threshold."""
-    theta = s.theta.values
-    return tuple(
-        fv for fv in compute_freedom(s) if dominates(s.r.apply(fv), theta)
-    )
+    return tuple(meeting(compute_freedom(s), s.r, s.theta.values))
 
 
 @_per_scenario
@@ -114,22 +110,21 @@ class AccessProfile:
 
 @_per_scenario
 def access_profile(s: Scenario) -> AccessProfile:
-    """Summarize entitlement access over the current freedom set."""
-    q = compute_freedom(s)
-    images = [s.r.apply(fv) for fv in q]
+    """Summarize entitlement access over the current freedom set; each
+    maximum is read back from r's int images as ``Fraction(max, D_k)``."""
     theta = s.theta.values
-    names = s.schemas["E"].names
+    (images,), scale, theta_ints = scaled_images([(compute_freedom(s), s.r)], theta)
     entries = []
-    for k, name in enumerate(names):
-        max_value = max((img[k] for img in images), default=None)
-        satisfied = max_value is not None and max_value >= theta[k]
+    for k, name in enumerate(s.schemas["E"].names):
+        top = max((img[k] for img in images), default=None)
         entries.append(
             DimensionAccess(
                 dimension=name,
                 threshold=theta[k],
-                max_value=max_value,
-                satisfied=satisfied,
+                max_value=None if top is None else Fraction(top, scale[k]),
+                satisfied=top is not None and top >= theta_ints[k],
             )
         )
-    jointly = any(dominates(img, theta) for img in images)
-    return AccessProfile(entries=tuple(entries), jointly_satisfiable=jointly)
+    return AccessProfile(
+        entries=tuple(entries), jointly_satisfiable=bool(compute_real_freedom(s))
+    )

@@ -1,16 +1,21 @@
-"""Pareto-maximal subsets of finite functioning sets.
+"""Pareto-maximal subsets and the set-level dominance kernels.
 
-This is the engine implementation: a sort-then-filter skyline scan.  The
-independent quadratic implementation lives in the test suite's oracle and
-the two are held to exact set equality by the differential test suite.
+This is the engine implementation: a sort-then-filter skyline scan (SFS,
+Chomicki et al., ICDE 2003), and the ∀∃, strict ∃∃ and θ-membership tests
+the judgments ask for.  The independent quadratic implementation lives in
+the test suite's oracle and the two are held to exact set equality by the
+differential test suite.
 
-Images are compared as integers.  :func:`integer_images` multiplies
-component k of every image in a comparison by D_k, the lcm of the
-denominators found in column k, which turns each component into an exact
-int.  Multiplying a column by a positive constant preserves ≥ and = in that
-column, so ⪰, ≻, equality and every threshold test (θ scaled with the
-images) give the same answers on the ints as on the rationals.  The scale is
-chosen per comparison, from the images at hand.
+Every kernel compares int images.  A map's stored images (table entries,
+or a parsed linear map's catalog images) are put on one integer scale once
+per map, on first use, and cached on it: component k is multiplied by D_k,
+the lcm of the denominators in column k over all of the map's images.
+Since D_k > 0, ⪰, ≻ and equality give the same answers on the ints as on
+the rationals.  Images of two maps meet on the lcm of their scales (free
+when the maps are one object, as before and after an interaction are).
+θ goes on a scale as ⌈θ_k·D_k⌉: for an int x, x ≥ θ_k·D_k iff
+x ≥ ⌈θ_k·D_k⌉.  Callables, and maps without stored images, are scaled per
+call from the images at hand, as by :func:`integer_images`.
 """
 
 from __future__ import annotations
@@ -18,20 +23,42 @@ from __future__ import annotations
 from itertools import chain
 from math import lcm
 from numbers import Rational
-from typing import Callable, Iterable, Sequence, Union
+from operator import attrgetter, ge, mul
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..errors import SchemaError, ValuationError
-from .order import strictly_dominates
 from .types import FunctioningVector, ValuationMap, dedupe_by_value
 
 Valuation = Union[ValuationMap, Callable[[FunctioningVector], tuple]]
+Ints = list[tuple[int, ...]]
 
 
-def as_applier(w: Valuation) -> Callable[[FunctioningVector], tuple]:
-    """The image function of a valuation given as a map or as a callable."""
-    if isinstance(w, ValuationMap):
-        return w.apply
-    return w
+def _same_width(widths: set[int]) -> None:
+    if len(widths) > 1:
+        a, b = sorted(widths)[:2]
+        raise SchemaError(f"cannot compare vectors of different lengths ({a} vs {b})")
+
+
+def _common_scale(images: Sequence[Sequence[Rational]]) -> tuple[int, ...]:
+    """Per column, the lcm of the denominators over all the images."""
+    _same_width({len(img) for img in images})
+    try:
+        return tuple([lcm(*{x.denominator for x in column}) for column in zip(*images)])
+    except (AttributeError, TypeError):
+        for x in chain.from_iterable(images):
+            if not isinstance(x, Rational):
+                raise ValuationError(
+                    f"image component {x!r} is a {type(x).__name__}, "
+                    "not an exact rational"
+                ) from None
+        raise
+
+
+def _rescale(images: Iterable[Sequence[Rational]], scale: Sequence[int]) -> Ints:
+    return [
+        tuple([x.numerator * (d // x.denominator) for x, d in zip(img, scale)])
+        for img in images
+    ]
 
 
 def integer_images(
@@ -44,48 +71,130 @@ def integer_images(
     (:class:`SchemaError` otherwise) and ``numbers.Rational`` components
     (:class:`ValuationError` otherwise).
     """
-    images = list(chain.from_iterable(groups))
-    widths = sorted({len(img) for img in images})
-    if len(widths) > 1:
-        raise SchemaError(
-            f"cannot compare vectors of different lengths ({widths[0]} vs {widths[1]})"
-        )
+    scale = _common_scale(list(chain.from_iterable(groups)))
+    return [_rescale(group, scale) for group in groups]
+
+
+def _build_table(w: ValuationMap):
+    """(int images keyed like the stored ones, scale, key getter), or None
+    when w stores no images or they are ragged or not all rational."""
+    images, key = w._stored()
+    if not images:
+        return None
+    # The parser gives equal vectors one object, so images repeat by identity.
+    distinct = list({id(img): img for img in images.values()}.values())
     try:
-        scale = [lcm(*{x.denominator for x in column}) for column in zip(*images)]
-        return [
-            [tuple([x.numerator * (d // x.denominator) for x, d in zip(img, scale)])
-             for img in group]
-            for group in groups
-        ]
+        scale = _common_scale(distinct)
+    except (SchemaError, ValuationError):
+        return None
+    ints = dict(zip(map(id, distinct), _rescale(distinct, scale)))
+    return {k: ints[id(img)] for k, img in images.items()}, scale, attrgetter(key)
+
+
+def _table(w: Valuation):
+    if not isinstance(w, ValuationMap):
+        return None
+    if w._table is None:
+        object.__setattr__(w, "_table", _build_table(w) or False)
+    return w._table or None
+
+
+def _theta_on(scale: Sequence[int], theta: Sequence[Rational]) -> tuple[int, ...]:
+    """θ on an integer scale: ⌈θ_k·D_k⌉."""
+    _same_width({len(scale), len(theta)})
+    try:
+        return tuple([-(-x.numerator * d // x.denominator) for x, d in zip(theta, scale)])
     except (AttributeError, TypeError):
-        for x in chain.from_iterable(images):
-            if not isinstance(x, Rational):
-                raise ValuationError(
-                    f"image component {x!r} is a {type(x).__name__}, "
-                    "not an exact rational"
-                ) from None
+        _common_scale([theta])  # names the component that is not rational
         raise
 
 
-def maximal_indices(images: Sequence[Sequence[Rational]]) -> list[int]:
-    """Positions, in increasing order, of the images that no other image in
-    the list strictly dominates.
+def scaled_images(
+    groups: Sequence[tuple[Sequence[FunctioningVector], Valuation]],
+    theta: Optional[Sequence[Rational]] = None,
+) -> tuple[list[Ints], tuple[int, ...], Optional[tuple[int, ...]]]:
+    """Int images of each (vectors, valuation) group on one scale, the
+    scale, and θ on it.  Images are read from the valuations' tables when
+    all cover their vectors (rescaled to the lcm of the tables' scales where
+    a scale differs); else each is computed once and scaled with θ."""
+    tables = [_table(w) for _, w in groups]
+    if all(tables):
+        try:
+            ints = [
+                [table[key(fv)] for fv in fvs]
+                for (fvs, _), (table, _, key) in zip(groups, tables)
+            ]
+        except KeyError:
+            pass
+        else:
+            scales = [scale for _, scale, _ in tables]
+            _same_width({len(s) for s in scales})
+            scale = tuple(map(lcm, *scales))
+            for i, own in enumerate(scales):
+                if own != scale:
+                    factors = [d // e for d, e in zip(scale, own)]
+                    ints[i] = [tuple(map(mul, img, factors)) for img in ints[i]]
+            return ints, scale, None if theta is None else _theta_on(scale, theta)
+    appliers = [w.apply if isinstance(w, ValuationMap) else w for _, w in groups]
+    images = [list(map(apply, fvs)) for (fvs, _), apply in zip(groups, appliers)]
+    scale = _common_scale(list(chain(*images, () if theta is None else (theta,))))
+    ints = [_rescale(group, scale) for group in images]
+    return ints, scale, None if theta is None else _theta_on(scale, theta)
 
-    Images are scanned in decreasing order of their component sum on the
-    integer scale of :func:`integer_images`.  That sum weights column k by
-    D_k > 0, so any strict dominator has a strictly larger sum and is
-    processed first; every non-maximal image is strictly dominated by some
-    maximal one (finite list, transitive order), so checking each image
-    against the frontier built so far is sufficient.  Equal images are all
-    maximal or all not.
+
+def skyline(images: Ints) -> list[int]:
+    """Positions, in increasing order, of the int images that no other one
+    strictly dominates.
+
+    Images are scanned in decreasing order of their component sum.  On an
+    integer scale that sum weights column k by D_k > 0, so any strict
+    dominator has a strictly larger sum and is processed first; every
+    non-maximal image is strictly dominated by some maximal one (finite
+    list, transitive order), so checking each image against the frontier
+    built so far is sufficient.  Equal images are all maximal or all not.
     """
-    (scaled,) = integer_images(images)
-    sums = [sum(img) for img in scaled]
-    frontier: list[int] = []
-    for i in sorted(range(len(scaled)), key=sums.__getitem__, reverse=True):
-        if not any(strictly_dominates(scaled[k], scaled[i]) for k in frontier):
-            frontier.append(i)
-    return sorted(frontier)
+    sums = list(map(sum, images))
+    kept: list[int] = []
+    front: Ints = []
+    for i in sorted(range(len(images)), key=sums.__getitem__, reverse=True):
+        x = images[i]
+        if not any(f != x and all(map(ge, f, x)) for f in front):
+            kept.append(i)
+            front.append(x)
+    return sorted(kept)
+
+
+def covered(targets: Ints, candidates: Ints) -> Iterator[bool]:
+    """For each target, whether some candidate weakly dominates it: the ∀∃
+    clause holds iff every answer is True."""
+    for t in targets:
+        yield any(all(map(ge, c, t)) for c in candidates)
+
+
+def strictly_beaten(targets: Ints, candidates: Ints, theta=None) -> bool:
+    """The strict ∃∃ clause: some candidate ≻ some target or, with θ on
+    their scale, meets a strict superset of that target's thresholds."""
+    if theta is None:
+        return any(c != t and all(map(ge, c, t)) for t in targets for c in candidates)
+
+    def sat(x):
+        return frozenset(k for k, (a, b) in enumerate(zip(x, theta)) if a >= b)
+
+    sats = [(c, sat(c)) for c in candidates]
+    return any(
+        (c != t and all(map(ge, c, t))) or sc > st
+        for t in targets
+        for st in (sat(t),)
+        for c, sc in sats
+    )
+
+
+def meeting(
+    fvs: Sequence[FunctioningVector], w: Valuation, theta: Sequence[Rational]
+) -> list[FunctioningVector]:
+    """Members of fvs whose w-image meets every component of θ."""
+    (ints,), _, theta = scaled_images([(fvs, w)], theta)
+    return [fv for fv, x in zip(fvs, ints) if all(map(ge, x, theta))]
 
 
 def maximal_set(
@@ -94,14 +203,11 @@ def maximal_set(
     """Elements of q whose w-image no other element's image strictly dominates.
 
     Input is deduplicated by functioning-vector value; the maximal elements
-    are found by :func:`maximal_indices` over their images, whose components
+    are found by :func:`skyline` over their int images, whose components
     must be ``numbers.Rational`` (a float raises :class:`ValuationError`).
     Distinct vectors with equal images are all maximal or all not, and are
     all returned.  The result is ordered by id.
     """
-    apply = as_applier(w)
     candidates = list(dedupe_by_value(q).values())
-    images = [tuple(apply(fv)) for fv in candidates]
-    return tuple(
-        sorted((candidates[i] for i in maximal_indices(images)), key=lambda fv: fv.id)
-    )
+    (ints,), _, _ = scaled_images([(candidates, w)])
+    return tuple(sorted((candidates[i] for i in skyline(ints)), key=lambda fv: fv.id))

@@ -165,13 +165,21 @@ class ValuationMap:
     * ``table`` -- an explicit image per functioning id, total over the
       scenario's catalog;
     * ``linear`` -- an exact rational matrix applied to the B-vector
-      (rows = codomain dimensions, columns = B dimensions).
+      (rows = codomain dimensions, columns = B dimensions).  The parser
+      also passes ``images``, each catalog image keyed by its vector's
+      ``value_key``; ``dataclasses.replace`` with a new matrix must pass
+      ``images=None``.
+
+    Maps are read-only, like :class:`Scenario`: the frontier kernels cache
+    the stored images' integer table on the instance.
     """
 
     map_id: str
     form: str
     entries: Optional[Mapping[str, tuple[Fraction, ...]]] = None
     matrix: Optional[tuple[tuple[Fraction, ...], ...]] = None
+    images: Optional[Mapping[tuple, tuple]] = field(default=None, repr=False, compare=False)
+    _table: object = field(default=None, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.map_id not in ("v", "r", "u"):
@@ -184,16 +192,23 @@ class ValuationMap:
                 raise SchemaError(f"linear map {self.map_id!r} has no matrix")
         else:
             raise SchemaError(f"valuation map form must be 'table' or 'linear', got {self.form!r}")
+        # replace() passes the old instance's table in; never inherit it.
+        object.__setattr__(self, "_table", None)
+
+    def _stored(self):
+        """The stored images, and the functioning attribute that keys them."""
+        return (self.entries, "id") if self.form == "table" else (self.images, "value_key")
 
     def apply(self, fv: FunctioningVector) -> tuple[Fraction, ...]:
         """Image of one functioning vector under this map."""
+        images, key = self._stored()
+        image = None if images is None else images.get(getattr(fv, key))
+        if image is not None:
+            return image
         if self.form == "table":
-            try:
-                return self.entries[fv.id]
-            except KeyError:
-                raise ValuationError(
-                    f"valuation map {self.map_id!r} has no entry for functioning {fv.id!r}"
-                ) from None
+            raise ValuationError(
+                f"valuation map {self.map_id!r} has no entry for functioning {fv.id!r}"
+            )
         image = []
         for row in self.matrix:
             if len(row) != len(fv.values):

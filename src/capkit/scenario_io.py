@@ -737,9 +737,12 @@ class _Parser:
                     return None
                 rows.append(row)
             linear = ValuationMap(map_id=map_id, form="linear", matrix=tuple(rows))
-            # Reports print images, so each must print within the digit limit.
+            # Reports print images, so each must print within the digit limit;
+            # the map keeps them, so no image is computed twice.
+            images = {}
             for fv in functionings:
-                if any(exceeds_digit_limit(x) for x in linear.apply(fv)):
+                image = images[fv.value_key] = linear.apply(fv)
+                if any(exceeds_digit_limit(x) for x in image):
                     self.error(
                         f"{path}.matrix",
                         f"map {map_id!r} gives functioning {fv.id!r} an image whose "
@@ -747,7 +750,7 @@ class _Parser:
                         f"{sys.get_int_max_str_digits()} digits",
                     )
                     return None
-            return linear
+            return replace(linear, images=images)
         self.error(f"{path}.form", "valuation map form must be 'table' or 'linear'")
         return None
 

@@ -9,6 +9,7 @@ internal invariant failure from a file is (by design) not possible.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -352,6 +353,43 @@ class TestInternalFailures:
         captured = capsys.readouterr()
         assert code == 3
         assert "RuntimeError" in captured.err
+
+
+class TestCollectorState:
+    """``main`` pauses the cyclic collector for the command and leaves it
+    as the caller had it, whatever the exit code."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def caller_gc(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_exit_zero(self, caller_gc, capsys, monkeypatch):
+        seen = []
+        real = cli.judge
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "judge", spy)
+        assert cli.main(["judge", str(GROCERY)]) == 0
+        assert seen and not any(seen)
+        assert gc.isenabled() == caller_gc
+
+    def test_exit_two(self, caller_gc, capsys):
+        assert cli.main(["judge", str(FIXTURES / "invalid" / "bad_json.json")]) == 2
+        assert gc.isenabled() == caller_gc
+
+    def test_exit_three(self, caller_gc, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("wires crossed")
+
+        monkeypatch.setattr(cli, "apply_interaction", boom)
+        assert cli.main(["judge", str(GROCERY)]) == 3
+        assert gc.isenabled() == caller_gc
 
 
 class TestEntryPoint:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capkit.errors import SchemaError, ValuationError
-from capkit.model.frontier import integer_images, maximal_indices, maximal_set
+from capkit.model.frontier import integer_images, maximal_set, skyline
 from capkit.model.order import dominates, strictly_dominates, theta_prefers
 from capkit.model.types import FunctioningVector, ValuationMap, dedupe_by_value
 from oracle import naive_maximal_set
@@ -140,7 +140,7 @@ class TestImageChecks:
         with pytest.raises(SchemaError, match="different lengths"):
             maximal_set(q, lambda fv: images[fv.id])
         with pytest.raises(SchemaError, match=r"different lengths \(1 vs 2\)"):
-            maximal_indices([(F(1), F(1)), (F(2),)])
+            integer_images([(F(1), F(1)), (F(2),)])
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None])
     def test_non_rational_component_raises_valuation_error(self, bad):
@@ -227,4 +227,4 @@ class TestIntegerScaleIsExact:
             i for i, img in enumerate(images)
             if not any(strictly_dominates(other, img) for other in images)
         ]
-        assert maximal_indices(images) == expected
+        assert skyline(*integer_images(images)) == expected
