@@ -40,7 +40,7 @@ comparison: component k of every image of a map is multiplied by the lcm
 D_k of the denominators in column k over all of that map's images, and θ
 goes on it as ⌈θ_k·D_k⌉.  Since D_k > 0, ⪰, ≻, equality and the sat sets
 are unchanged.  Before and after an interaction share their map objects,
-hence their scale; images of two different maps meet on the lcm of both.
+hence their scale; maps on two different scales are put on one per call.
 """
 
 from __future__ import annotations

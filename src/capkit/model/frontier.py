@@ -11,11 +11,11 @@ or a parsed linear map's catalog images) are put on one integer scale once
 per map, on first use, and cached on it: component k is multiplied by D_k,
 the lcm of the denominators in column k over all of the map's images.
 Since D_k > 0, ⪰, ≻ and equality give the same answers on the ints as on
-the rationals.  Images of two maps meet on the lcm of their scales (free
-when the maps are one object, as before and after an interaction are).
-θ goes on a scale as ⌈θ_k·D_k⌉: for an int x, x ≥ θ_k·D_k iff
-x ≥ ⌈θ_k·D_k⌉.  Callables, and maps without stored images, are scaled per
-call from the images at hand, as by :func:`integer_images`.
+the rationals.  Tables of maps on one scale are compared as they are (the
+maps before and after an interaction are one object).  θ goes on a scale
+as ⌈θ_k·D_k⌉: for an int x, x ≥ θ_k·D_k iff x ≥ ⌈θ_k·D_k⌉.  Callables,
+maps without stored images and maps on different scales are put on one
+scale per call, with θ, by :func:`integer_images`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import chain
 from math import lcm
 from numbers import Rational
-from operator import attrgetter, ge, mul
+from operator import attrgetter, ge
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..errors import SchemaError, ValuationError
@@ -54,17 +54,11 @@ def _common_scale(images: Sequence[Sequence[Rational]]) -> tuple[int, ...]:
         raise
 
 
-def _rescale(images: Iterable[Sequence[Rational]], scale: Sequence[int]) -> Ints:
-    return [
-        tuple([x.numerator * (d // x.denominator) for x, d in zip(img, scale)])
-        for img in images
-    ]
-
-
 def integer_images(
     *groups: Sequence[Sequence[Rational]],
-) -> list[list[tuple[int, ...]]]:
-    """The groups of images, on one integer scale shared by all of them.
+) -> tuple[list[Ints], tuple[int, ...]]:
+    """The groups of images on one integer scale shared by all of them, and
+    that scale.
 
     Component k of each image is multiplied by the lcm of the denominators
     in column k across every group.  All images must have one length
@@ -72,7 +66,11 @@ def integer_images(
     (:class:`ValuationError` otherwise).
     """
     scale = _common_scale(list(chain.from_iterable(groups)))
-    return [_rescale(group, scale) for group in groups]
+    ints = [
+        [tuple([x.numerator * (d // x.denominator) for x, d in zip(img, scale)]) for img in group]
+        for group in groups
+    ]
+    return ints, scale
 
 
 def _build_table(w: ValuationMap):
@@ -81,14 +79,11 @@ def _build_table(w: ValuationMap):
     images, key = w._stored()
     if not images:
         return None
-    # The parser gives equal vectors one object, so images repeat by identity.
-    distinct = list({id(img): img for img in images.values()}.values())
     try:
-        scale = _common_scale(distinct)
+        (ints,), scale = integer_images(list(images.values()))
     except (SchemaError, ValuationError):
         return None
-    ints = dict(zip(map(id, distinct), _rescale(distinct, scale)))
-    return {k: ints[id(img)] for k, img in images.items()}, scale, attrgetter(key)
+    return dict(zip(images, ints)), scale, attrgetter(key)
 
 
 def _table(w: Valuation):
@@ -115,10 +110,10 @@ def scaled_images(
 ) -> tuple[list[Ints], tuple[int, ...], Optional[tuple[int, ...]]]:
     """Int images of each (vectors, valuation) group on one scale, the
     scale, and θ on it.  Images are read from the valuations' tables when
-    all cover their vectors (rescaled to the lcm of the tables' scales where
-    a scale differs); else each is computed once and scaled with θ."""
+    all cover their vectors on one scale; else each is computed once and
+    put on one scale with θ by :func:`integer_images`."""
     tables = [_table(w) for _, w in groups]
-    if all(tables):
+    if all(tables) and len({scale for _, scale, _ in tables}) == 1:
         try:
             ints = [
                 [table[key(fv)] for fv in fvs]
@@ -127,19 +122,14 @@ def scaled_images(
         except KeyError:
             pass
         else:
-            scales = [scale for _, scale, _ in tables]
-            _same_width({len(s) for s in scales})
-            scale = tuple(map(lcm, *scales))
-            for i, own in enumerate(scales):
-                if own != scale:
-                    factors = [d // e for d, e in zip(scale, own)]
-                    ints[i] = [tuple(map(mul, img, factors)) for img in ints[i]]
+            scale = tables[0][1]
             return ints, scale, None if theta is None else _theta_on(scale, theta)
     appliers = [w.apply if isinstance(w, ValuationMap) else w for _, w in groups]
     images = [list(map(apply, fvs)) for (fvs, _), apply in zip(groups, appliers)]
-    scale = _common_scale(list(chain(*images, () if theta is None else (theta,))))
-    ints = [_rescale(group, scale) for group in images]
-    return ints, scale, None if theta is None else _theta_on(scale, theta)
+    if theta is None:
+        return (*integer_images(*images), None)
+    ints, scale = integer_images(*images, [theta])
+    return ints[:-1], scale, ints[-1][0]
 
 
 def skyline(images: Ints) -> list[int]:

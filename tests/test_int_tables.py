@@ -387,9 +387,7 @@ def test_fixtures_scale_each_map_once(monkeypatch, capsys):
     held = []  # keeps every counted map alive, so ids stay unique
     per_call = Counter()
     building = []
-    real_build, real_scale, real_images = (
-        frontier._build_table, frontier._common_scale, frontier.integer_images
-    )
+    real_build, real_images = frontier._build_table, frontier.integer_images
 
     def build(w):
         builds[id(w)] += 1
@@ -400,17 +398,12 @@ def test_fixtures_scale_each_map_once(monkeypatch, capsys):
         finally:
             building.pop()
 
-    def common_scale(images):
-        if not building:
-            per_call["scale"] += 1
-        return real_scale(images)
-
     def integer_images(*groups):
-        per_call["integer_images"] += 1
+        if not building:
+            per_call["integer_images"] += 1
         return real_images(*groups)
 
     monkeypatch.setattr(frontier, "_build_table", build)
-    monkeypatch.setattr(frontier, "_common_scale", common_scale)
     monkeypatch.setattr(frontier, "integer_images", integer_images)
     runs = [("judge", p) for p in sorted(FIXTURES.glob("*.scn"))]
     runs += [("detect", p) for p in sorted(FIXTURES.glob("*.trc"))]
