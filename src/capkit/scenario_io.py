@@ -123,6 +123,70 @@ def _reject_constant(name):
     raise ValueError(f"non-finite literal {name}")
 
 
+# How many distinct object texts a new object value is compared against.
+_RECENT_SPANS = 8
+
+
+class _DocumentDecoder(json.JSONDecoder):
+    """``json.loads`` that decodes a verbatim-repeated object value once.
+
+    The document object, and the record and trace objects in its arrays,
+    are scanned by the stdlib's Python ``JSONObject``/``JSONArray``; every
+    value below them is decoded by the C scanner, with the same hooks.  An
+    object value of the document or of a record (a scenario, deltas, an
+    estimate map) that starts with the exact text of one of the last
+    ``_RECENT_SPANS`` distinct objects so decoded is that same Python
+    object, and its text is skipped.  This is exact: an object ends at its
+    matching brace, so no complete object is a proper prefix of another,
+    and equal text decodes to an equal value.  For the same reason a failed
+    comparison stops within the new value's text, so the decode stays
+    linear in the document's size.  Diagnostics are those of ``json.loads``:
+    a skipped text decoded without error the first time.
+    """
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self._scan = self.scan_once  # the C scanner
+        self.scan_once = self._document
+        self._recent: list[tuple[str, object]] = []  # (text, value), most recent first
+
+    def _object(self, s, idx, scan_value):
+        """An object scanned in Python, its values read by ``scan_value``;
+        any other value at ``idx`` is left to the C scanner."""
+        if not s.startswith("{", idx):
+            return self._scan(s, idx)
+        return json.decoder.JSONObject(
+            (s, idx + 1), self.strict, scan_value, self.object_hook, self.object_pairs_hook,
+            self.memo,
+        )
+
+    def _document(self, s, idx):
+        return self._object(s, idx, self._document_value)
+
+    def _document_value(self, s, idx):
+        if s.startswith("[", idx):
+            return json.decoder.JSONArray((s, idx + 1), self._item)
+        return self._value(s, idx)
+
+    def _item(self, s, idx):
+        """An item of a document array: a record or a trace."""
+        return self._object(s, idx, self._value)
+
+    def _value(self, s, idx):
+        """A value of the document or of one of its records or traces."""
+        if not s.startswith("{", idx):
+            return self._scan(s, idx)
+        recent = self._recent
+        for i, (text, value) in enumerate(recent):
+            if s.startswith(text, idx):
+                recent.insert(0, recent.pop(i))
+                return value, idx + len(text)
+        value, end = self._scan(s, idx)
+        recent.insert(0, (s[idx:end], value))
+        del recent[_RECENT_SPANS:]
+        return value, end
+
+
 # What ``require`` returns for a missing field.  The field is diagnosed
 # there, so the shape helpers return None for it without a second message.
 _MISSING = object()
@@ -153,7 +217,9 @@ class _Parser:
     to the true one, one threat world per record).  Each of these is walked
     once per distinct raw value (:meth:`memo`): equal copies share one
     result, so equal scenario subtrees parse to one :class:`Scenario` whose
-    derived sets are then computed once.
+    derived sets are then computed once.  A verbatim copy of a scenario
+    arrives from :class:`_DocumentDecoder` as the very object it copies and
+    is answered by identity, without being marshalled or walked.
     """
 
     def __init__(self, lenient: bool):
@@ -162,6 +228,7 @@ class _Parser:
         self._rationals: dict[bytes, tuple] = {}
         self._vectors: dict[bytes, tuple] = {}
         self._scenarios: dict[bytes, tuple] = {}
+        self._scenario_objects: dict[int, tuple] = {}
         self._value_keys: dict[int, tuple] = {}
 
     # -- diagnostics -------------------------------------------------------
@@ -199,7 +266,7 @@ class _Parser:
     def boolean(self, value, path) -> Optional[bool]:
         return value if isinstance(value, bool) else self.mistyped(value, path, "true or false")
 
-    def memo(self, cache: dict, walk, raw, path: str):
+    def memo(self, cache: dict, walk, raw, path: str, objects: Optional[dict] = None):
         """``walk(raw, path)``, run once per distinct ``raw`` in ``cache``.
 
         Raw values are keyed by ``marshal.dumps(raw, 2)``, not compared by
@@ -213,7 +280,15 @@ class _Parser:
         ``path``, so a hit re-emits the first walk's diagnostics under its
         own path: exactly what a fresh walk would.  Results are immutable,
         so copies may share them.
+
+        ``objects``, where given, answers a raw value seen before by its
+        identity, before anything is marshalled: the decoder hands each
+        verbatim copy of an object over as the object it copies.  Each entry
+        holds its raw value, so no identity is reused while the parser lives.
         """
+        held = objects.get(id(raw)) if objects is not None else None
+        if held is not None:
+            return self._replay(held[1], path)
         try:
             key = marshal.dumps(raw, 2)
         except ValueError:  # nested past marshal's bound (a raised recursion limit)
@@ -224,7 +299,15 @@ class _Parser:
             result = walk(raw, path)
             found = tuple(replace(d, path=d.path[len(path):]) for d in self.diagnostics[before:])
             hit = cache[key] = (result, found)
-        elif hit[1]:
+        else:
+            self._replay(hit, path)
+        if objects is not None:
+            objects[id(raw)] = (raw, hit)
+        return hit[0]
+
+    def _replay(self, hit: tuple, path: str):
+        """A memoized walk's result, its diagnostics re-emitted under ``path``."""
+        if hit[1]:
             self.diagnostics += [replace(d, path=path + d.path) for d in hit[1]]
         return hit[0]
 
@@ -354,7 +437,9 @@ class _Parser:
         obj = self.obj(value, path)
         if obj is None:
             return None
-        return self.memo(self._scenarios, self._walk_scenario, obj, path)
+        return self.memo(
+            self._scenarios, self._walk_scenario, obj, path, self._scenario_objects
+        )
 
     def _walk_scenario(self, obj: dict, path) -> Optional[Scenario]:
         self.check_fields(obj, self.SCENARIO_FIELDS, path)
@@ -1108,6 +1193,18 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
+def _decode(text: str):
+    """The JSON value of ``text``, read with the hooks the parser relies on."""
+    return json.loads(
+        text,
+        cls=_DocumentDecoder,
+        parse_float=json_decimal,
+        parse_int=json_integer,
+        parse_constant=_reject_constant,
+        object_pairs_hook=_pairs_hook,
+    )
+
+
 def parse_document(
     text: str, *, lenient: bool = False
 ) -> tuple[ScenarioDocument, list[Diagnostic]]:
@@ -1117,13 +1214,7 @@ def parse_document(
     carrying every located diagnostic when the document has errors.
     """
     try:
-        raw = json.loads(
-            text,
-            parse_float=json_decimal,
-            parse_int=json_integer,
-            parse_constant=_reject_constant,
-            object_pairs_hook=_pairs_hook,
-        )
+        raw = _decode(text)
     except _DuplicateKey as exc:
         raise DocumentError(
             [Diagnostic("error", "$", f"duplicate object key {exc.key!r}")]

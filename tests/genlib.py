@@ -147,17 +147,20 @@ def _extend_table_map(
     rng: random.Random,
     base_map: ValuationMap,
     old_functionings,
+    kept_functionings,
     new_functionings,
     n_out: int,
 ) -> ValuationMap:
-    """Extend a table map over new vectors, preserving image consistency.
+    """A table map over the kept and new vectors, preserving image
+    consistency: the entries of dropped vectors are cut, as a document's
+    table must be total over its catalog and nothing more.
 
     A linear map already covers every vector of its width and is kept.
     """
     if base_map.form == "linear":
         return base_map
     by_value = {fv.values: base_map.entries[fv.id] for fv in old_functionings}
-    entries = dict(base_map.entries)
+    entries = {fv.id: base_map.entries[fv.id] for fv in kept_functionings}
     for fv in new_functionings:
         img = by_value.get(fv.values)
         if img is None:
@@ -272,7 +275,8 @@ def successor(rng: random.Random, base: Scenario) -> Scenario:
     catalog growth, which traces cannot produce but the raw improvement
     formulas must still handle.  With some probability the base is returned
     unchanged, so differential tests see the no-change diagonal often.
-    Table maps are extended over the new vectors; linear maps carry over.
+    Table maps are extended over the new vectors and cut to the catalog;
+    linear maps carry over.
     """
     if rng.random() < 0.15:
         return base
@@ -319,15 +323,15 @@ def successor(rng: random.Random, base: Scenario) -> Scenario:
 
     maps = {
         "v": _extend_table_map(
-            rng, base.maps["v"], base.functionings, new, len(base.schemas["P"])
+            rng, base.maps["v"], base.functionings, kept, new, len(base.schemas["P"])
         ),
         "r": _extend_table_map(
-            rng, base.maps["r"], base.functionings, new, len(base.schemas["E"])
+            rng, base.maps["r"], base.functionings, kept, new, len(base.schemas["E"])
         ),
     }
     if "u" in base.maps:
         maps["u"] = _extend_table_map(
-            rng, base.maps["u"], base.functionings, new, len(base.schemas["U"])
+            rng, base.maps["u"], base.functionings, kept, new, len(base.schemas["U"])
         )
 
     return Scenario(

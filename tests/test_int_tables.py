@@ -41,7 +41,12 @@ from capkit.model.types import (
     UtilizationEntry,
     ValuationMap,
 )
-from capkit.scenario_io import ScenarioDocument, parse_document, serialize_document
+from capkit.scenario_io import (
+    ScenarioDocument,
+    parse_document,
+    serialize_document,
+    serialize_scenario,
+)
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -316,15 +321,16 @@ def _judgments(before, after) -> dict:
     }
 
 
-def _catalog_only(s: Scenario) -> Scenario:
-    """s with its table maps cut down to its catalog, as a document needs:
-    genlib successors keep the entries of dropped vectors."""
-    ids = [fv.id for fv in s.functionings]
-    maps = {
-        k: m if m.form == "linear" else replace(m, entries={i: m.entries[i] for i in ids})
-        for k, m in s.maps.items()
-    }
-    return replace(s, maps=maps)
+def _guarded(engine: dict, before, after) -> int:
+    """How many of ``engine``'s readings differ from the oracle's raw
+    formulas.  Only the change guard may turn a raw-true reading false."""
+    count = 0
+    for formula, value in engine.items():
+        raw = oracle.eval_formula(formula, before, after)
+        if value != raw:
+            assert raw and not value and formula not in ("condition1", "condition2")
+            count += 1
+    return count
 
 
 def _round_trip(s: Scenario) -> Scenario:
@@ -342,7 +348,7 @@ def test_parsed_linear_maps_judge_like_the_oracle():
     for seed in range(200):
         rng = random.Random(140_000 + seed)
         built_before = genlib.scenario(rng, linear=True)
-        built_after = _catalog_only(genlib.successor(rng, built_before))
+        built_after = genlib.successor(rng, built_before)
         before, after = _round_trip(built_before), _round_trip(built_after)
         for s in (before, after):
             for m in s.maps.values():
@@ -357,13 +363,45 @@ def test_parsed_linear_maps_judge_like_the_oracle():
             )
             assert compute_real_freedom(s) == compute_real_freedom(built)
             assert access_profile(s) == access_profile(built)
-        for formula, value in engine.items():
-            raw = oracle.eval_formula(formula, before, after)
-            if value != raw:
-                # Only the change guard may turn a raw-true reading false.
-                assert raw and not value and formula not in ("condition1", "condition2")
-                guarded += 1
+        guarded += _guarded(engine, before, after)
     assert tabled >= 200
+    assert guarded
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_successor_believed_world_parses_and_judges_like_the_oracle(linear):
+    """A record whose believed world is a genlib successor of the main
+    scenario (a near-copy that drops and adds vectors) serializes to a
+    document the parser accepts.  Parsed, the world is the one built, is
+    shared with the main scenario exactly when it is equal to it, and
+    judges like the oracle wherever the change guard does not apply."""
+    dropped = shared = guarded = 0
+    for seed in range(150):
+        rng = random.Random((150_000 if linear else 151_000) + seed)
+        main = genlib.scenario(rng, linear=linear)
+        believed = genlib.successor(rng, main)
+        record = _record(mechanisms=("misrepresentation",), believed_scenario=believed)
+        doc = ScenarioDocument(
+            format_version=1, scenario=main, interactions=(record,), traces=()
+        )
+        parsed, _ = parse_document(serialize_document(doc))
+        before, after = parsed.scenario, parsed.interactions[0].believed_scenario
+        assert serialize_scenario(after) == serialize_scenario(believed), seed
+        equal = serialize_scenario(believed) == serialize_scenario(main)
+        assert (after is before) == equal
+        shared += equal
+        dropped += not {fv.id for fv in main.functionings} <= {
+            fv.id for fv in after.functionings
+        }
+
+        assert _values(compute_freedom(after)) == _values(oracle.freedom(after))
+        assert _values(compute_real_freedom(after)) == _values(oracle.real_freedom(after))
+        assert maximal_set(compute_freedom(after), after.v) == oracle.naive_maximal_set(
+            oracle.freedom(after), after.v
+        )
+        guarded += _guarded(_judgments(before, after), before, after)
+    assert dropped >= 50
+    assert shared
     assert guarded
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import copy
 import json
+import json.scanner
 import marshal
 import random
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +20,14 @@ from hypothesis import strategies as st
 import genlib
 from capkit.errors import DocumentError
 from capkit.judgments.records import InteractionDeltas, InteractionRecord
-from capkit.rationals import exceeds_digit_limit, format_rational, parse_rational
+from capkit import scenario_io
+from capkit.rationals import (
+    exceeds_digit_limit,
+    format_rational,
+    json_decimal,
+    json_integer,
+    parse_rational,
+)
 from capkit.scenario_io import (
     Diagnostic,
     ScenarioDocument,
@@ -1512,3 +1521,238 @@ class TestRoundTrip:
         parsed, _ = parse_document(text)
         assert parsed == doc
         assert serialize_document(parsed) == text
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copies at the JSON layer
+# ---------------------------------------------------------------------------
+
+
+# The hooks the parser decodes with, for the plain ``json.loads`` reference.
+_HOOKS = dict(
+    parse_float=json_decimal,
+    parse_int=json_integer,
+    parse_constant=scenario_io._reject_constant,
+    object_pairs_hook=scenario_io._pairs_hook,
+)
+
+_FIXTURE_SCENARIOS = [
+    json.loads(path.read_text())["scenario"]
+    for path in sorted(FIXTURES.glob("*.scn")) + sorted(FIXTURES.glob("*.trc"))
+]
+
+_COPY_KINDS = ("verbatim", "near-end", "reindented", "reordered", "int", "bool", "str")
+
+
+def _copy_text(scenario: dict, kind: str) -> str:
+    """The text of a copy of ``scenario``: verbatim, with its last digit
+    changed (a near-copy), written differently, or with one more field
+    whose value is ``1``, ``true`` or ``"1"``."""
+    text = json.dumps(scenario)
+    if kind == "verbatim":
+        return text
+    if kind == "near-end":
+        i = max(i for i, c in enumerate(text) if c.isdigit())
+        return text[:i] + ("2" if text[i] == "1" else "1") + text[i + 1 :]
+    if kind == "reindented":
+        return json.dumps(scenario, indent=1)
+    if kind == "reordered":
+        return json.dumps(dict(reversed(scenario.items())))
+    return json.dumps(dict(scenario, note={"int": 1, "bool": True, "str": "1"}[kind]))
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """Every value the C scanner decodes while the test runs."""
+    make_scanner = json.scanner.make_scanner
+    out = []
+
+    def make(context):
+        scan = make_scanner(context)
+
+        def counted(s, idx):
+            value, end = scan(s, idx)
+            out.append(value)
+            return value, end
+
+        return counted
+
+    monkeypatch.setattr(json.scanner, "make_scanner", make)
+    return out
+
+
+class _ComparedText(str):
+    """A document text that counts the object texts compared against it."""
+
+    compared = 0
+
+    def startswith(self, prefix, *args):
+        self.compared += len(prefix) > 1  # one-character prefixes test a kind
+        return str.startswith(self, prefix, *args)
+
+
+class TestVerbatimCopies:
+    """An object value of the document or of a record that repeats earlier
+    text verbatim is decoded once, as the object first decoded from it; a
+    copy written differently is decoded again and shares through the
+    scenario memo's marshal key."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(_FIXTURE_SCENARIOS),
+        st.lists(
+            st.tuples(
+                st.sampled_from(_COPY_KINDS),
+                st.sampled_from(("believed_scenario", "threat_scenario")),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_decode_equals_json_loads_and_shares_only_verbatim_copies(self, scenario, plan):
+        texts = [json.dumps(scenario)] + [_copy_text(scenario, kind) for kind, _ in plan]
+        records = ", ".join(
+            f'{{"id": "i_{k}", "{field}": {texts[k + 1]}}}' for k, (_, field) in enumerate(plan)
+        )
+        text = (
+            f'{{"format_version": 1, "scenario": {texts[0]}, "interactions": [{records}], '
+            '"traces": [{"id": "t", "steps": []}]}'
+        )
+        decoded = scenario_io._decode(text)
+        assert _same(decoded, json.loads(text, **_HOOKS))
+        objects = [decoded["scenario"]] + [
+            rec[field] for rec, (_, field) in zip(decoded["interactions"], plan)
+        ]
+        for i in range(len(texts)):
+            for j in range(i):
+                assert (objects[i] is objects[j]) == (texts[i] == texts[j]), (plan, i, j)
+
+    def test_copies_are_neither_decoded_nor_marshalled(self, scanned, monkeypatch):
+        obj = json.loads((FIXTURES / "domination.trc").read_text())
+        main = obj["scenario"]
+        worlds = [main] + [dict(main, characteristics={"energy": k}) for k in (2, 3, 4)]
+        record = obj["interactions"][0]
+        obj["interactions"] = [
+            dict(record, id=f"i_{k}", believed_scenario=worlds[k % 4]) for k in range(16)
+        ]
+        obj["traces"] = [
+            {
+                "id": "t",
+                "steps": [
+                    {"interaction": f"i_{k}", "target_choice": "b_rally", "actor_desired": "b_rally"}
+                    for k in range(16)
+                ],
+            }
+        ]
+        keyed = []
+
+        def dumps(value, version):
+            if type(value) is dict and "agent_id" in value:
+                keyed.append(value)
+            return marshal.dumps(value, version)
+
+        monkeypatch.setattr(scenario_io, "marshal", types.SimpleNamespace(dumps=dumps))
+        doc, _ = parse_document(json.dumps(obj))
+        decoded = [v for v in scanned if type(v) is dict and "agent_id" in v]
+        assert decoded == worlds
+        assert keyed == worlds
+        recs = doc.records_by_id()
+        assert recs["i_0"].believed_scenario is doc.scenario
+        for k in range(4, 16):
+            assert recs[f"i_{k}"].believed_scenario is recs[f"i_{k % 4}"].believed_scenario
+
+    def test_lookup_is_bounded_on_shared_prefixes(self, scanned):
+        # 4,000 distinct threat worlds share a 2,000-character prefix.  Each
+        # object value is compared with at most _RECENT_SPANS earlier texts,
+        # and a failed comparison stops within the new text, so the decode
+        # is linear; comparing with every earlier text would be quadratic.
+        prefix = "x" * 2000
+        records = [
+            {"id": f"i_{k}", "deltas": {}, "threat_scenario": {"agent_id": f"{prefix}{k}"}}
+            for k in range(4000)
+        ]
+        text = _ComparedText(json.dumps({"format_version": 1, "interactions": records}))
+        decoded = scenario_io._decode(text)
+        assert text.compared <= scenario_io._RECENT_SPANS * 2 * 4000
+        assert sum(type(v) is dict for v in scanned) == 4001  # one `{}` deltas
+        assert _same(decoded, json.loads(text, **_HOOKS))
+
+
+_DOC = json.dumps(dict(base_doc(), interactions=[_interaction_obj()]))
+_REC = json.dumps(_interaction_obj())
+
+# Each input's diagnostics, as ``json.loads`` gave them before verbatim
+# copies were shared; the parser must print them byte for byte.
+_JSON_DIAGNOSTICS = {
+    "empty": ("", "line 1, column 1: not valid JSON: Expecting value"),
+    "whitespace": (" \n\t ", "line 2, column 3: not valid JSON: Expecting value"),
+    "extra-data": (_DOC + " {}", "line 1, column 868: not valid JSON: Extra data"),
+    "truncated": (
+        _DOC[: _DOC.index('"mechanisms"')],
+        "line 1, column 756: not valid JSON: Expecting property name enclosed in double quotes",
+    ),
+    "duplicate-top": (
+        _DOC.replace('"format_version": 1', '"format_version": 1, "format_version": 1'),
+        "$: duplicate object key 'format_version'",
+    ),
+    "duplicate-record": (
+        _DOC.replace('"id": "i_x"', '"id": "i_x", "id": "i_y"'),
+        "$: duplicate object key 'id'",
+    ),
+    "trailing-comma-object": (
+        _DOC.replace('"proportionality_ok": true}', '"proportionality_ok": true, }'),
+        "line 1, column 866: not valid JSON: Expecting property name enclosed in double quotes",
+    ),
+    "trailing-comma-array": (
+        _DOC.replace('"proportionality_ok": true}]', '"proportionality_ok": true}, ]'),
+        "line 1, column 867: not valid JSON: Expecting value",
+    ),
+    "nan": (
+        _DOC.replace('"deltas": {}', '"deltas": NaN'),
+        "document: not valid JSON: non-finite literal NaN",
+    ),
+    "deep-scenario": (
+        _DOC.replace('"theta": [1]', '"theta": ' + "[" * 5000 + "]" * 5000),
+        "document: not valid JSON: nesting too deep",
+    ),
+    "deep-record": (
+        _DOC.replace('"deltas": {}', '"deltas": ' + "[" * 5000 + "]" * 5000),
+        "document: not valid JSON: nesting too deep",
+    ),
+    "bad-escape": (
+        _DOC.replace('"beau"', '"be\\qau"'),
+        "line 1, column 699: not valid JSON: Invalid \\escape",
+    ),
+    "control-character": (
+        _DOC.replace('"beau"', '"be\x01au"'),
+        "line 1, column 699: not valid JSON: Invalid control character at",
+    ),
+    "missing-colon": (
+        _DOC.replace('"intent": "unknown"', '"intent" "unknown"'),
+        "line 1, column 744: not valid JSON: Expecting '",
+    ),
+    "missing-comma-record": (
+        _DOC.replace('"intent": "unknown",', '"intent": "unknown"'),
+        "line 1, column 755: not valid JSON: Expecting ',' delimiter",
+    ),
+    "missing-comma-array": (
+        _DOC.replace(_REC, _REC + " " + _REC.replace("i_x", "i_y")),
+        "line 1, column 866: not valid JSON: Expecting ',' delimiter",
+    ),
+    "long-version": (
+        _DOC.replace('"format_version": 1', '"format_version": ' + "7" * 5000),
+        f"$.format_version: unsupported format_version '{'7' * 40}'... (5000 characters); "
+        "this build reads version 1",
+    ),
+}
+
+
+class TestJsonDiagnostics:
+    @pytest.mark.parametrize("name", list(_JSON_DIAGNOSTICS))
+    def test_diagnostic_is_unchanged_and_bounded(self, name):
+        text, expected = _JSON_DIAGNOSTICS[name]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(text)
+        lines = [str(d) for d in excinfo.value.diagnostics]
+        assert lines == [f"error: {expected}"]
+        assert all(len(line) < 200 for line in lines)
