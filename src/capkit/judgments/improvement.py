@@ -35,12 +35,12 @@ instead of S'.  Its S side stays whole wherever the unmatched elements
 themselves are reported.  The oracle keeps the raw formulas.
 
 The clauses compare int tuples, not Fractions, through the kernels of
-:mod:`~capkit.model.frontier`.  The scale is chosen once per map, not per
-comparison: component k of every image of a map is multiplied by the lcm
-D_k of the denominators in column k over all of that map's images, and θ
-goes on it as ⌈θ_k·D_k⌉.  Since D_k > 0, ⪰, ≻, equality and the sat sets
-are unchanged.  Before and after an interaction share their map objects,
-hence their scale; maps on two different scales are put on one per call.
+:mod:`~capkit.model.frontier`.  Each side is read from one table, a map's
+cached one or a callable's transient one: column k is multiplied by the
+lcm D_k of its denominators.  Before and after an interaction share their
+map objects, hence their table; tables on two scales meet on the column
+lcm L, with θ on it as ⌈θ_k·L_k⌉.  All factors are positive, so ⪰, ≻,
+equality and the sat sets are unchanged.
 """
 
 from __future__ import annotations

@@ -6,16 +6,17 @@ the judgments ask for.  The independent quadratic implementation lives in
 the test suite's oracle and the two are held to exact set equality by the
 differential test suite.
 
-Every kernel compares int images.  A map's stored images (table entries,
-or a parsed linear map's catalog images) are put on one integer scale once
-per map, on first use, and cached on it: component k is multiplied by D_k,
-the lcm of the denominators in column k over all of the map's images.
-Since D_k > 0, ⪰, ≻ and equality give the same answers on the ints as on
-the rationals.  Tables of maps on one scale are compared as they are (the
-maps before and after an interaction are one object).  θ goes on a scale
-as ⌈θ_k·D_k⌉: for an int x, x ≥ θ_k·D_k iff x ≥ ⌈θ_k·D_k⌉.  Callables,
-maps without stored images and maps on different scales are put on one
-scale per call, with θ, by :func:`integer_images`.
+Every kernel compares int images, read from one table per valuation:
+component k is multiplied by D_k, the lcm of the denominators in column k
+over the table's images, so ⪰, ≻ and equality give the same answers on the
+ints as on the rationals (D_k > 0).  A map's stored images (table entries,
+or a parsed linear map's catalog images) become its table once, cached on
+the map; a callable, a linear map built in code, or a vector outside the
+stored images gets a transient table of the images asked for.  Tables on
+one scale are used as they are; tables on different scales meet on the
+column lcm L, column k times L_k/D_k.  θ goes on as ⌈θ_k·L_k⌉: for an int
+x, x ≥ θ_k·L_k iff x ≥ ⌈θ_k·L_k⌉.  :func:`integer_images` is the one
+Fraction→int step.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .types import FunctioningVector, ValuationMap, dedupe_by_value
 
 Valuation = Union[ValuationMap, Callable[[FunctioningVector], tuple]]
 Ints = list[tuple[int, ...]]
+_NO_TABLE = ({}, None, attrgetter("id"))
 
 
 def _same_width(widths: set[int]) -> None:
@@ -54,44 +56,51 @@ def _common_scale(images: Sequence[Sequence[Rational]]) -> tuple[int, ...]:
         raise
 
 
-def integer_images(
-    *groups: Sequence[Sequence[Rational]],
-) -> tuple[list[Ints], tuple[int, ...]]:
-    """The groups of images on one integer scale shared by all of them, and
-    that scale.
+def integer_images(images: Sequence[Sequence[Rational]]) -> tuple[Ints, tuple[int, ...]]:
+    """The images on their own integer scale, and that scale.
 
     Component k of each image is multiplied by the lcm of the denominators
-    in column k across every group.  All images must have one length
-    (:class:`SchemaError` otherwise) and ``numbers.Rational`` components
-    (:class:`ValuationError` otherwise).
+    in column k.  All images must have one length (:class:`SchemaError`
+    otherwise) and ``numbers.Rational`` components (:class:`ValuationError`
+    otherwise).
     """
-    scale = _common_scale(list(chain.from_iterable(groups)))
-    ints = [
-        [tuple([x.numerator * (d // x.denominator) for x, d in zip(img, scale)]) for img in group]
-        for group in groups
-    ]
-    return ints, scale
+    scale = _common_scale(images)
+    return [
+        tuple([x.numerator * (d // x.denominator) for x, d in zip(img, scale)]) for img in images
+    ], scale
 
 
 def _build_table(w: ValuationMap):
-    """(int images keyed like the stored ones, scale, key getter), or None
-    when w stores no images or they are ragged or not all rational."""
+    """(int images keyed like w's stored ones, their scale, the key getter);
+    empty, on scale None, when w stores no images or they are ragged or not
+    all rational."""
     images, key = w._stored()
-    if not images:
-        return None
-    try:
-        (ints,), scale = integer_images(list(images.values()))
-    except (SchemaError, ValuationError):
-        return None
-    return dict(zip(images, ints)), scale, attrgetter(key)
+    table, scale = {}, None
+    if images:
+        try:
+            ints, scale = integer_images(list(images.values()))
+            table = dict(zip(images, ints))
+        except (SchemaError, ValuationError):
+            pass
+    return table, scale, attrgetter(key)
 
 
 def _table(w: Valuation):
     if not isinstance(w, ValuationMap):
-        return None
+        return _NO_TABLE
     if w._table is None:
-        object.__setattr__(w, "_table", _build_table(w) or False)
-    return w._table or None
+        object.__setattr__(w, "_table", _build_table(w))
+    return w._table
+
+
+def _group_ints(fvs: Sequence[FunctioningVector], w: Valuation):
+    """Int images of fvs under w and their scale: read from w's cached table
+    when it holds every one, else from a transient table of their images."""
+    table, scale, key = _table(w)
+    try:
+        return [table[key(fv)] for fv in fvs], scale
+    except KeyError:
+        return integer_images(list(map(w.apply if isinstance(w, ValuationMap) else w, fvs)))
 
 
 def _theta_on(scale: Sequence[int], theta: Sequence[Rational]) -> tuple[int, ...]:
@@ -109,27 +118,20 @@ def scaled_images(
     theta: Optional[Sequence[Rational]] = None,
 ) -> tuple[list[Ints], tuple[int, ...], Optional[tuple[int, ...]]]:
     """Int images of each (vectors, valuation) group on one scale, the
-    scale, and θ on it.  Images are read from the valuations' tables when
-    all cover their vectors on one scale; else each is computed once and
-    put on one scale with θ by :func:`integer_images`."""
-    tables = [_table(w) for _, w in groups]
-    if all(tables) and len({scale for _, scale, _ in tables}) == 1:
-        try:
-            ints = [
-                [table[key(fv)] for fv in fvs]
-                for (fvs, _), (table, _, key) in zip(groups, tables)
-            ]
-        except KeyError:
-            pass
-        else:
-            scale = tables[0][1]
-            return ints, scale, None if theta is None else _theta_on(scale, theta)
-    appliers = [w.apply if isinstance(w, ValuationMap) else w for _, w in groups]
-    images = [list(map(apply, fvs)) for (fvs, _), apply in zip(groups, appliers)]
-    if theta is None:
-        return (*integer_images(*images), None)
-    ints, scale = integer_images(*images, [theta])
-    return ints[:-1], scale, ints[-1][0]
+    scale, and θ on it.  Each group is a table; tables on different scales
+    meet on the column lcm.  With no image at all, the scale is θ's width
+    of ones (empty without θ)."""
+    parts = [_group_ints(fvs, w) for fvs, w in groups]
+    scales = {scale for _, scale in parts if scale is not None}
+    _same_width(set(map(len, scales)))
+    scale = tuple(map(lcm, *scales)) if scales else (1,) * len(theta or ())
+    ints = [
+        group if d in (None, scale) else [
+            tuple([x * (m // k) for x, m, k in zip(img, scale, d)]) for img in group
+        ]
+        for group, d in parts
+    ]
+    return ints, scale, None if theta is None else _theta_on(scale, theta)
 
 
 def skyline(images: Ints) -> list[int]:
@@ -161,20 +163,21 @@ def covered(targets: Ints, candidates: Ints) -> Iterator[bool]:
         yield any(all(map(ge, c, t)) for c in candidates)
 
 
+def sat(x: Sequence[int], theta: Sequence[int]) -> frozenset[int]:
+    """Indices of the threshold components that x meets or exceeds."""
+    return frozenset(k for k, (a, b) in enumerate(zip(x, theta)) if a >= b)
+
+
 def strictly_beaten(targets: Ints, candidates: Ints, theta=None) -> bool:
     """The strict ∃∃ clause: some candidate ≻ some target or, with θ on
     their scale, meets a strict superset of that target's thresholds."""
     if theta is None:
         return any(c != t and all(map(ge, c, t)) for t in targets for c in candidates)
-
-    def sat(x):
-        return frozenset(k for k, (a, b) in enumerate(zip(x, theta)) if a >= b)
-
-    sats = [(c, sat(c)) for c in candidates]
+    sats = [(c, sat(c, theta)) for c in candidates]
     return any(
         (c != t and all(map(ge, c, t))) or sc > st
         for t in targets
-        for st in (sat(t),)
+        for st in (sat(t, theta),)
         for c, sc in sats
     )
 

@@ -1,8 +1,11 @@
 """Pareto dominance and the threshold-sensitive preference relation.
 
-These relations compare exact rational vectors componentwise.  They are the
-only comparison primitives the judgment layer uses, so their laws (partial
-order, strict partial order) are property-tested heavily.
+These relations compare exact rational vectors componentwise.  Each puts
+its two or three vectors on one integer scale with
+:func:`~capkit.model.frontier.integer_images` and asks the kernels the
+judgments use, so the order laws property-tested here are the kernels'
+laws.  Components must be ``numbers.Rational``: a float raises
+:class:`ValuationError`, a length mismatch :class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -10,34 +13,27 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ..errors import SchemaError
+from .frontier import covered, integer_images, sat, strictly_beaten
 
 Vector = Sequence[Fraction]
 
 
-def _check_lengths(a: Vector, b: Vector) -> None:
-    if len(a) != len(b):
-        raise SchemaError(
-            f"cannot compare vectors of different lengths ({len(a)} vs {len(b)})"
-        )
-
-
 def dominates(a: Vector, b: Vector) -> bool:
     """Weak Pareto dominance: every component of a is at least b's."""
-    _check_lengths(a, b)
-    return all(x >= y for x, y in zip(a, b))
+    (ia, ib), _ = integer_images([a, b])
+    return next(covered([ib], [ia]))
 
 
 def strictly_dominates(a: Vector, b: Vector) -> bool:
     """Strict Pareto dominance: a weakly dominates b and differs somewhere."""
-    _check_lengths(a, b)
-    return dominates(a, b) and tuple(a) != tuple(b)
+    (ia, ib), _ = integer_images([a, b])
+    return strictly_beaten([ib], [ia])
 
 
 def sat_set(x: Vector, theta: Vector) -> frozenset[int]:
     """Indices of the threshold components that x meets or exceeds."""
-    _check_lengths(x, theta)
-    return frozenset(k for k, (xv, tv) in enumerate(zip(x, theta)) if xv >= tv)
+    (ix, itheta), _ = integer_images([x, theta])
+    return sat(ix, itheta)
 
 
 def theta_prefers(a: Vector, b: Vector, theta: Vector) -> bool:
@@ -54,5 +50,5 @@ def theta_prefers(a: Vector, b: Vector, theta: Vector) -> bool:
     or sat(a) ⊋ sat(b).  The weak form (sat(a) ⊇ sat(b) and a ⪰ b) reduces
     the same way to ``dominates(a, b)``, so it has no function of its own.
     """
-    _check_lengths(a, theta)
-    return strictly_dominates(a, b) or sat_set(a, theta) > sat_set(b, theta)
+    (ia, ib, itheta), _ = integer_images([a, b, theta])
+    return strictly_beaten([ib], [ia], itheta)

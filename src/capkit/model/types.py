@@ -171,7 +171,8 @@ class ValuationMap:
       ``images=None``.
 
     Maps are read-only, like :class:`Scenario`: the frontier kernels cache
-    the stored images' integer table on the instance.
+    the stored images' integer table on the instance (empty when they are
+    absent, ragged or not all rational; images it lacks are computed per call).
     """
 
     map_id: str

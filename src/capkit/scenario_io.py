@@ -1221,12 +1221,12 @@ def parse_document(
         ) from None
     except RecursionError:
         raise DocumentError([_TOO_DEEP]) from None
+    except json.JSONDecodeError as exc:
+        where = f"line {exc.lineno}, column {exc.colno}"
+        raise DocumentError([Diagnostic("error", where, f"not valid JSON: {exc.msg}")]) from None
     except ValueError as exc:
-        # json.JSONDecodeError subclasses ValueError and carries position info.
-        lineno = getattr(exc, "lineno", None)
-        where = f"line {lineno}, column {exc.colno}" if lineno else "document"
         raise DocumentError(
-            [Diagnostic("error", where, f"not valid JSON: {exc.args[0].split(':')[0]}")]
+            [Diagnostic("error", "document", f"not valid JSON: {exc.args[0].split(':')[0]}")]
         ) from None
 
     p = _Parser(lenient=lenient)

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from unittest.mock import patch
 
 import genlib
 import oracle
@@ -353,7 +355,7 @@ def test_parsed_linear_maps_judge_like_the_oracle():
         for s in (before, after):
             for m in s.maps.values():
                 if m.form == "linear":
-                    assert m.images is not None and frontier._table(m) is not None
+                    assert m.images is not None and frontier._table(m)[0]
                     tabled += 1
         engine = _judgments(before, after)
         assert engine == _judgments(built_before, built_after), seed
@@ -420,7 +422,10 @@ def test_linear_apply_is_one_lookup():
 # ---------------------------------------------------------------------------
 
 
-def test_fixtures_scale_each_map_once(monkeypatch, capsys):
+@contextmanager
+def _scaling():
+    """Counts table builds per map, and ``integer_images`` calls outside
+    them (the per-call Fraction→int steps)."""
     builds: Counter = Counter()
     held = []  # keeps every counted map alive, so ids stay unique
     per_call = Counter()
@@ -436,24 +441,65 @@ def test_fixtures_scale_each_map_once(monkeypatch, capsys):
         finally:
             building.pop()
 
-    def integer_images(*groups):
+    def integer_images(*args):
         if not building:
             per_call["integer_images"] += 1
-        return real_images(*groups)
+        return real_images(*args)
 
-    monkeypatch.setattr(frontier, "_build_table", build)
-    monkeypatch.setattr(frontier, "integer_images", integer_images)
+    with patch.object(frontier, "_build_table", build), patch.object(
+        frontier, "integer_images", integer_images
+    ):
+        yield builds, held, per_call
+
+
+def test_fixtures_scale_each_map_once(capsys):
     runs = [("judge", p) for p in sorted(FIXTURES.glob("*.scn"))]
     runs += [("detect", p) for p in sorted(FIXTURES.glob("*.trc"))]
     assert len(runs) >= 9
     tables = 0
-    for command, path in runs:
-        builds.clear()
-        held.clear()
-        code = cli.main([command, str(path)])
-        capsys.readouterr()
-        assert code in (0, 2) and (code == 0) == (path.stem != "broken_chain"), path
-        assert all(n == 1 for n in builds.values()), path
-        tables += len(builds)
+    with _scaling() as (builds, held, per_call):
+        for command, path in runs:
+            builds.clear()
+            held.clear()
+            code = cli.main([command, str(path)])
+            capsys.readouterr()
+            assert code in (0, 2) and (code == 0) == (path.stem != "broken_chain"), path
+            assert all(n == 1 for n in builds.values()), path
+            tables += len(builds)
     assert tables >= 10
     assert per_call == Counter()
+
+
+@PROPERTY
+@given(two_worlds())
+def test_maps_on_two_scales_meet_on_ints(worlds):
+    """Condition 2, coercion, deception and the access profile between
+    maps in halves and in thirds read both maps' tables: each is built
+    once, and nothing is put on a scale per call."""
+    main, copy = worlds
+    threat = _record(mechanisms=("threat",), actor_has_right=False, threat_scenario=copy)
+    believed = _record(mechanisms=("misrepresentation",), believed_scenario=main)
+    with _scaling() as (builds, _, per_call):
+        condition2(main, copy)
+        detect_coercion(main, main, threat)
+        detect_deception(copy, copy, believed)
+        access_profile(main)
+        access_profile(copy)
+    assert len(builds) == 4 and all(n == 1 for n in builds.values())
+    assert per_call == Counter()
+
+
+def test_callable_is_applied_once_per_vector():
+    calls = Counter()
+
+    def counted(fv):
+        calls[fv.id] += 1
+        return fv.values
+
+    catalog = tuple(FunctioningVector(f"b{i}", (F(i, 2), F(3 - i, 3))) for i in range(6))
+    copies = tuple(FunctioningVector(f"c{i}", fv.values) for i, fv in enumerate(catalog))
+    assert len(maximal_set(catalog + copies, counted)) == 6
+    assert calls == Counter(fv.id for fv in catalog)
+    calls.clear()
+    assert [fv.id for fv in meeting(catalog, counted, (F(1), F(0)))] == ["b2", "b3"]
+    assert calls == Counter(fv.id for fv in catalog)

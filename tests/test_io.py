@@ -1682,7 +1682,8 @@ _DOC = json.dumps(dict(base_doc(), interactions=[_interaction_obj()]))
 _REC = json.dumps(_interaction_obj())
 
 # Each input's diagnostics, as ``json.loads`` gave them before verbatim
-# copies were shared; the parser must print them byte for byte.
+# copies were shared; the parser must print them byte for byte.  A decode
+# error keeps json's whole message, colons included (``missing-colon``).
 _JSON_DIAGNOSTICS = {
     "empty": ("", "line 1, column 1: not valid JSON: Expecting value"),
     "whitespace": (" \n\t ", "line 2, column 3: not valid JSON: Expecting value"),
@@ -1729,7 +1730,7 @@ _JSON_DIAGNOSTICS = {
     ),
     "missing-colon": (
         _DOC.replace('"intent": "unknown"', '"intent" "unknown"'),
-        "line 1, column 744: not valid JSON: Expecting '",
+        "line 1, column 744: not valid JSON: Expecting ':' delimiter",
     ),
     "missing-comma-record": (
         _DOC.replace('"intent": "unknown",', '"intent": "unknown"'),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import genlib
 import oracle
-from capkit.errors import SchemaError
+from capkit.errors import SchemaError, ValuationError
 from capkit.model.order import dominates, sat_set, strictly_dominates, theta_prefers
 
 F = Fraction
@@ -83,9 +83,9 @@ class TestDominance:
         assert dominates((F(1, 3) + F(1, 3) + F(1, 3),), (F(1),))
 
     def test_length_mismatch(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"different lengths \(1 vs 2\)"):
             dominates((F(1),), (F(1), F(2)))
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"different lengths \(1 vs 2\)"):
             strictly_dominates((F(1), F(2)), (F(1),))
 
 
@@ -103,7 +103,7 @@ class TestSatSet:
             assert sat_set(a, theta) >= sat_set(b, theta)
 
     def test_length_mismatch(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"different lengths \(1 vs 2\)"):
             sat_set((F(1),), (F(1), F(1)))
 
 
@@ -150,8 +150,24 @@ class TestThetaPreference:
         assert theta_prefers((F(1, 2), F(1, 2)), (F(0), F(0)), theta)
 
     def test_length_mismatch(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"different lengths \(1 vs 2\)"):
             theta_prefers((F(1),), (F(1),), (F(1), F(1)))
+
+
+@pytest.mark.parametrize(
+    "relation, args",
+    [
+        (dominates, ((0.5,), (0,))),
+        (dominates, ((F(1),), (0.5,))),
+        (strictly_dominates, ((0.5,), (0,))),
+        (sat_set, ((F(1), F(1)), (F(0), 0.5))),
+        (theta_prefers, ((F(1),), (F(0),), (0.5,))),
+        (theta_prefers, ((F(1),), (1.0,), (F(0),))),
+    ],
+)
+def test_float_components_raise(relation, args):
+    with pytest.raises(ValuationError, match="float, not an exact rational"):
+        relation(*args)
 
 
 class TestThetaPreferenceReduction:
