@@ -42,19 +42,11 @@ from .errors import (
     TraceError,
     ValuationError,
 )
-from .judgments.failures import detect_domination, detect_failures
-from .judgments.records import apply_interaction, materialize_trace
-from .judgments.verdict import judge
+from .judgments.records import apply_interaction, first_trace_step
+from .judgments.verdict import detect_trace, judge
 from .model.freedom import compute_freedom, compute_real_freedom, maximal_plans
 from .rationals import format_rational
-from .report import (
-    build_detect_report,
-    build_judge_report,
-    emit_human,
-    emit_structured,
-    input_digest,
-    trace_result_obj,
-)
+from .report import build_report, emit_human, emit_structured, input_digest
 from .scenario_io import deep_validate, parse_document
 
 _INPUT_ERRORS = (
@@ -82,6 +74,7 @@ def _color_enabled(stream) -> bool:
 
 
 def _load(path_str: str, *, lenient: bool = False):
+    """Read and parse a document, printing its warnings; raises DocumentError."""
     path = Path(path_str)
     try:
         data = path.read_bytes()
@@ -94,6 +87,7 @@ def _load(path_str: str, *, lenient: bool = False):
     digest = input_digest(data)
     del data  # the text is all parsing needs; free the bytes before its peak
     doc, warnings = parse_document(text, lenient=lenient)
+    _print_diagnostics(warnings, sys.stderr)
     return doc, warnings, digest
 
 
@@ -103,12 +97,7 @@ def _print_diagnostics(diagnostics, stream) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        doc, warnings, _ = _load(args.file, lenient=args.lenient)
-    except DocumentError as exc:
-        _print_diagnostics(exc.diagnostics, sys.stderr)
-        return EXIT_INPUT
-    _print_diagnostics(warnings, sys.stderr)
+    doc, warnings, _ = _load(args.file, lenient=args.lenient)
     deep = deep_validate(doc)
     _print_diagnostics(deep, sys.stderr)
     if any(getattr(d, "severity", "error") == "error" for d in deep):
@@ -122,8 +111,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    doc, warnings, _ = _load(args.file)
-    _print_diagnostics(warnings, sys.stderr)
+    doc, _, _ = _load(args.file)
     s = doc.scenario
     if args.set == "Q":
         members = compute_freedom(s)
@@ -145,59 +133,45 @@ def cmd_frontier(args) -> int:
     return EXIT_OK
 
 
+def _judged_pair(doc, rec):
+    """The base scenario and ``rec`` applied to it.  A record that applies
+    only inside a trace is judged on the before/after pair of its first step
+    there (traces in id order), the pair that validate checked."""
+    try:
+        return doc.scenario, apply_interaction(doc.scenario, rec)
+    except DeltaError:
+        step = first_trace_step(doc.scenario, doc.records_by_id(), doc.traces, rec.id)
+        if step is None:
+            raise
+        return step.before, step.after
+
+
 def cmd_judge(args) -> int:
-    doc, warnings, digest = _load(args.file)
-    _print_diagnostics(warnings, sys.stderr)
-    if args.interaction is not None:
-        records = [doc.interaction(args.interaction)]
-    else:
-        records = list(doc.interactions)
-    verdicts = []
-    for rec in records:
-        after = apply_interaction(doc.scenario, rec)
-        verdicts.append(
-            judge(
-                doc.scenario,
-                after,
-                rec,
-                require_change=not args.strict_formula,
-            )
-        )
-    report = build_judge_report(digest, verdicts)
-    return _emit(report, args, any(v.has_violation for v in verdicts))
+    doc, _, digest = _load(args.file)
+    records = doc.interactions if args.interaction is None else [doc.interaction(args.interaction)]
+    verdicts = [
+        judge(*_judged_pair(doc, rec), rec, require_change=not args.strict_formula)
+        for rec in records
+    ]
+    return _emit(args, digest, verdicts)
 
 
 def cmd_detect(args) -> int:
-    doc, warnings, digest = _load(args.file)
-    _print_diagnostics(warnings, sys.stderr)
-    if args.trace is not None:
-        traces = [doc.trace(args.trace)]
-    else:
-        traces = list(doc.traces)
+    doc, _, digest = _load(args.file)
+    traces = doc.traces if args.trace is None else [doc.trace(args.trace)]
     records = doc.records_by_id()
-    results = []
-    found = False
-    for trace in traces:
-        steps = materialize_trace(doc.scenario, records, trace)
-        domination = detect_domination(steps)
-        found = found or domination.status == "finding"
-        step_rows = []
-        for step in steps:
-            findings, paternalism = detect_failures(step.before, step.after, step.record)
-            found = found or bool(findings) or paternalism.status == "unjustified"
-            step_rows.append((step.index, step.record.id, findings, paternalism))
-        results.append(trace_result_obj(trace.id, domination, step_rows))
-    report = build_detect_report(digest, results)
-    return _emit(report, args, found)
+    verdicts = [detect_trace(doc.scenario, records, trace) for trace in traces]
+    return _emit(args, digest, verdicts)
 
 
-def _emit(report: dict, args, violation: bool) -> int:
-    """Write the report in the requested format and pick the exit code."""
+def _emit(args, digest: str, verdicts) -> int:
+    """Write the verdicts' report in the requested format and pick the exit code."""
+    report = build_report(args.command, digest, verdicts)
     if args.format == "human":
         sys.stdout.write(emit_human(report, color=_color_enabled(sys.stdout)))
     else:
         sys.stdout.write(emit_structured(report))
-    if args.fail_on_violation and violation:
+    if args.fail_on_violation and any(v.has_violation for v in verdicts):
         return EXIT_VIOLATION
     return EXIT_OK
 

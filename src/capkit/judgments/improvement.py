@@ -161,13 +161,13 @@ def _side_improves(
 
 
 @dataclass(frozen=True)
-class Condition1Result:
-    """Outcome of the entitlement-preservation check.
+class ConditionResult:
+    """Outcome of a permissibility condition: its status and evidence.
 
-    status is "pass", "violated", or "vacuous_initially_empty".  The vacuous
-    status means the agent had no threshold-satisfying option to begin with;
-    the check then degrades to reporting whether access was further impeded,
-    dimension by dimension.
+    status is "pass" or "violated"; condition 1 may also be
+    "vacuous_initially_empty", when the agent had no threshold-satisfying
+    option to begin with.  The check then degrades to reporting whether
+    access was further impeded, dimension by dimension.
     """
 
     status: str
@@ -176,6 +176,9 @@ class Condition1Result:
     @property
     def violated(self) -> bool:
         return self.status == "violated"
+
+
+Condition1Result = Condition2Result = ConditionResult
 
 
 def _profile_comparison(before: AccessProfile, after: AccessProfile) -> list[dict]:
@@ -199,7 +202,7 @@ def _profile_comparison(before: AccessProfile, after: AccessProfile) -> list[dic
     return items
 
 
-def condition1(before: Scenario, after: Scenario) -> Condition1Result:
+def condition1(before: Scenario, after: Scenario) -> ConditionResult:
     """Necessary condition: the interaction must not empty real freedom.
 
     Binding only when the agent starts with at least one threshold-satisfying
@@ -213,10 +216,10 @@ def condition1(before: Scenario, after: Scenario) -> Condition1Result:
     if not q_star_before:
         evidence = [{"kind": "initially_empty", "detail": "real freedom empty before interaction"}]
         evidence.extend(_profile_comparison(access_profile(before), profile_after))
-        return Condition1Result("vacuous_initially_empty", tuple(evidence))
+        return ConditionResult("vacuous_initially_empty", tuple(evidence))
     if q_star_after:
         witness = q_star_after[0]
-        return Condition1Result(
+        return ConditionResult(
             "pass",
             (
                 {
@@ -247,7 +250,7 @@ def condition1(before: Scenario, after: Scenario) -> Condition1Result:
                 "single option satisfies all thresholds",
             }
         )
-    return Condition1Result("violated", tuple(evidence))
+    return ConditionResult("violated", tuple(evidence))
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +258,7 @@ def condition1(before: Scenario, after: Scenario) -> Condition1Result:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Condition2Result:
-    """Outcome of the maximal-plan replacement check."""
-
-    status: str
-    evidence: tuple[dict, ...]
-
-    @property
-    def violated(self) -> bool:
-        return self.status == "violated"
-
-
-def condition2(before: Scenario, after: Scenario) -> Condition2Result:
+def condition2(before: Scenario, after: Scenario) -> ConditionResult:
     """Every v-maximal option must keep a weakly-as-good successor.
 
     ∀b ∈ M(Q_before, v): ∃b' ∈ Q_after with v(b') ⪰ v(b), searched over
@@ -284,8 +275,8 @@ def condition2(before: Scenario, after: Scenario) -> Condition2Result:
             }
             for b in missing
         )
-        return Condition2Result("violated", evidence)
-    return Condition2Result(
+        return ConditionResult("violated", evidence)
+    return ConditionResult(
         "pass",
         ({"kind": "maximal_plans_replaced", "count": len(m_before)},),
     )

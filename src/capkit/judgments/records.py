@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from ..errors import DeltaError, TraceError
 from ..model.freedom import compute_freedom
@@ -250,3 +250,16 @@ def materialize_trace(
         )
         current = after
     return tuple(out)
+
+
+def first_trace_step(
+    base: Scenario, records: Mapping[str, InteractionRecord], traces: Sequence[Trace], rec_id: str
+) -> Optional[MaterializedStep]:
+    """The first step that applies ``rec_id`` in the first of ``traces`` that
+    references it, chained from ``base``; None when no trace does."""
+    for trace in traces:
+        for index, step in enumerate(trace.steps):
+            if step.interaction == rec_id:
+                prefix = replace(trace, steps=trace.steps[: index + 1])
+                return materialize_trace(base, records, prefix)[-1]
+    return None

@@ -1,80 +1,130 @@
-"""Verdict assembly: one structured judgment per interaction."""
+"""Verdict assembly: one structured judgment per interaction, one per trace.
+
+Each verdict lists its adverse outcomes once (``adverse``): the list decides
+``has_violation``, and each outcome on it must carry evidence.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..errors import InternalInvariantError
 from ..model.types import Scenario
 from ..rationals import format_rational
-from .failures import Finding, PaternalismResult, detect_failures
+from .failures import (
+    DominationResult,
+    Finding,
+    PaternalismResult,
+    detect_domination,
+    detect_failures,
+)
 from .improvement import (
     AssistanceFlags,
     BeneficenceFlags,
-    Condition1Result,
-    Condition2Result,
+    ConditionResult,
     assistance_life_plans,
     assistance_real_freedom,
     classify_beneficence,
     condition1,
     condition2,
 )
-from .records import InteractionRecord
+from .records import InteractionRecord, Trace, materialize_trace
+
+
+def _failure_outcomes(paternalism: PaternalismResult, findings: Sequence[Finding]) -> list:
+    """The adverse outcomes of one before/after pair's failure detectors."""
+    out = [("paternalism", paternalism.evidence)] if paternalism.status == "unjustified" else []
+    return out + [(f.kind, f.evidence) for f in findings]
+
+
+class _Outcomes:
+    @property
+    def has_violation(self) -> bool:
+        """True when anything a --fail-on-violation caller cares about fired."""
+        return bool(self.adverse())
 
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(_Outcomes):
     """The full structured judgment of one interaction."""
 
     interaction_id: str
-    condition1: Condition1Result
-    condition2: Condition2Result
+    condition1: ConditionResult
+    condition2: ConditionResult
     beneficence: BeneficenceFlags
     assistance: AssistanceFlags
     paternalism: PaternalismResult
     findings: tuple[Finding, ...]
 
     @property
-    def has_violation(self) -> bool:
-        """True when anything a --fail-on-violation caller cares about fired."""
-        return (
-            self.condition1.violated
-            or self.condition2.violated
-            or self.paternalism.status == "unjustified"
-            or bool(self.findings)
-        )
+    def subject(self) -> str:
+        return f"interaction {self.interaction_id!r}"
+
+    def adverse(self) -> list[tuple[str, tuple[dict, ...]]]:
+        """(label, evidence) of each adverse outcome, in report order."""
+        conditions = (("condition1", self.condition1), ("condition2", self.condition2))
+        out = [(label, c.evidence) for label, c in conditions if c.violated]
+        return out + _failure_outcomes(self.paternalism, self.findings)
 
     def to_dict(self) -> dict:
         return {
             "interaction": self.interaction_id,
-            "condition1": {
-                "status": self.condition1.status,
-                "evidence": _canonical_evidence(self.condition1.evidence),
-            },
-            "condition2": {
-                "status": self.condition2.status,
-                "evidence": _canonical_evidence(self.condition2.evidence),
-            },
-            "beneficence": {
-                "weak": self.beneficence.weak,
-                "real_freedom": self.beneficence.real_freedom,
-                "life_plan": self.beneficence.life_plan,
-                "weak_only": self.beneficence.weak_only,
-            },
-            "assistance": {
-                "real_freedom": self.assistance.real_freedom,
-                "life_plans": self.assistance.life_plans,
-            },
+            "condition1": _outcome_dict(self.condition1),
+            "condition2": _outcome_dict(self.condition2),
+            "beneficence": {**asdict(self.beneficence), "weak_only": self.beneficence.weak_only},
+            "assistance": asdict(self.assistance),
             "paternalism": {
                 "status": self.paternalism.status,
                 "clauses": dict(self.paternalism.clauses),
                 "failed_clauses": list(self.paternalism.failed_clauses),
                 "evidence": _canonical_evidence(self.paternalism.evidence),
             },
-            "findings": [finding_dict(f) for f in self.findings],
+            "findings": [_finding_dict(f) for f in self.findings],
+        }
+
+
+@dataclass(frozen=True)
+class TraceVerdict(_Outcomes):
+    """Domination over one trace, and the failure detectors on each step:
+    (step index, interaction id, findings, paternalism) per step."""
+
+    trace_id: str
+    domination: DominationResult
+    steps: tuple[tuple[int, str, tuple[Finding, ...], PaternalismResult], ...]
+
+    @property
+    def subject(self) -> str:
+        return f"trace {self.trace_id!r}"
+
+    def adverse(self) -> list[tuple[str, tuple[dict, ...]]]:
+        """(label, evidence) of each adverse outcome, in report order."""
+        out = []
+        if self.domination.status == "finding":
+            out.append(("domination", self.domination.evidence))
+        for index, _, findings, paternalism in self.steps:
+            for kind, evidence in _failure_outcomes(paternalism, findings):
+                out.append((f"step {index} {kind}", evidence))
+        return out
+
+    def to_dict(self) -> dict:
+        return {
+            "trace": self.trace_id,
+            "domination": _outcome_dict(self.domination),
+            "steps": [
+                {
+                    "step": index,
+                    "interaction": rec_id,
+                    "findings": [_finding_dict(f) for f in findings],
+                    "paternalism": {
+                        "status": paternalism.status,
+                        "failed_clauses": list(paternalism.failed_clauses),
+                    },
+                }
+                for index, rec_id, findings, paternalism in self.steps
+            ],
         }
 
 
@@ -93,26 +143,20 @@ def _canonical_evidence(evidence: Sequence[dict]) -> list[dict]:
     return sorted(items, key=lambda item: json.dumps(item, sort_keys=True))
 
 
-def finding_dict(f: Finding) -> dict:
+def _outcome_dict(result) -> dict:
+    return {"status": result.status, "evidence": _canonical_evidence(result.evidence)}
+
+
+def _finding_dict(f: Finding) -> dict:
     return {"kind": f.kind, "severity": f.severity, "evidence": _canonical_evidence(f.evidence)}
 
 
-def _check_evidence(verdict: Verdict) -> Verdict:
+def _check_evidence(verdict):
     """Every adverse outcome must carry at least one evidence item."""
-    checks = []
-    if verdict.condition1.violated:
-        checks.append(("condition1", verdict.condition1.evidence))
-    if verdict.condition2.violated:
-        checks.append(("condition2", verdict.condition2.evidence))
-    if verdict.paternalism.status == "unjustified":
-        checks.append(("paternalism", verdict.paternalism.evidence))
-    for finding in verdict.findings:
-        checks.append((finding.kind, finding.evidence))
-    for label, evidence in checks:
+    for label, evidence in verdict.adverse():
         if not evidence:
             raise InternalInvariantError(
-                f"{label} outcome produced no evidence for interaction "
-                f"{verdict.interaction_id!r}"
+                f"{label} outcome produced no evidence for {verdict.subject}"
             )
     return verdict
 
@@ -149,3 +193,17 @@ def judge(
         findings=tuple(findings),
     )
     return _check_evidence(verdict)
+
+
+def detect_trace(
+    base: Scenario, records: Mapping[str, InteractionRecord], trace: Trace
+) -> TraceVerdict:
+    """Chain a trace from ``base``, judge domination over it, and run the
+    per-interaction failure detectors on each step's before/after pair."""
+    steps = materialize_trace(base, records, trace)
+    domination = detect_domination(steps)
+    rows = []
+    for step in steps:
+        findings, paternalism = detect_failures(step.before, step.after, step.record)
+        rows.append((step.index, step.record.id, tuple(findings), paternalism))
+    return _check_evidence(TraceVerdict(trace.id, domination, tuple(rows)))

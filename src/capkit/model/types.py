@@ -165,10 +165,9 @@ class ValuationMap:
     * ``table`` -- an explicit image per functioning id, total over the
       scenario's catalog;
     * ``linear`` -- an exact rational matrix applied to the B-vector
-      (rows = codomain dimensions, columns = B dimensions).  The parser
-      also passes ``images``, each catalog image keyed by its vector's
-      ``value_key``; ``dataclasses.replace`` with a new matrix must pass
-      ``images=None``.
+      (rows = codomain dimensions, columns = B dimensions).  ``apply``
+      keeps each image it computes in ``images``, keyed by the vector's
+      ``value_key``; the parser fills it with the catalog's images.
 
     Maps are read-only, like :class:`Scenario`: the frontier kernels cache
     the stored images' integer table on the instance (empty when they are
@@ -179,7 +178,6 @@ class ValuationMap:
     form: str
     entries: Optional[Mapping[str, tuple[Fraction, ...]]] = None
     matrix: Optional[tuple[tuple[Fraction, ...], ...]] = None
-    images: Optional[Mapping[tuple, tuple]] = field(default=None, repr=False, compare=False)
     _table: object = field(default=None, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -195,6 +193,7 @@ class ValuationMap:
             raise SchemaError(f"valuation map form must be 'table' or 'linear', got {self.form!r}")
         # replace() passes the old instance's table in; never inherit it.
         object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "images", {} if self.form == "linear" else None)
 
     def _stored(self):
         """The stored images, and the functioning attribute that keys them."""
@@ -203,7 +202,7 @@ class ValuationMap:
     def apply(self, fv: FunctioningVector) -> tuple[Fraction, ...]:
         """Image of one functioning vector under this map."""
         images, key = self._stored()
-        image = None if images is None else images.get(getattr(fv, key))
+        image = images.get(getattr(fv, key))
         if image is not None:
             return image
         if self.form == "table":
@@ -218,7 +217,8 @@ class ValuationMap:
                     f"functioning {fv.id!r} of length {len(fv.values)}"
                 )
             image.append(sum((a * x for a, x in zip(row, fv.values)), Fraction(0)))
-        return tuple(image)
+        image = images[fv.value_key] = tuple(image)
+        return image
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,10 @@ import json
 from typing import Optional, Sequence
 
 from . import __version__
-from .judgments.failures import DominationResult, Finding, PaternalismResult
-from .judgments.verdict import Verdict, _canonical_evidence, finding_dict
 
 JUDGE_FORMAT = "capkit.judge.v1"
 DETECT_FORMAT = "capkit.detect.v1"
+_SECTIONS = {"judge": (JUDGE_FORMAT, "verdicts"), "detect": (DETECT_FORMAT, "traces")}
 
 _ANSI = {
     "green": "\x1b[32m",
@@ -36,48 +35,14 @@ def input_digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def build_judge_report(digest: str, verdicts: Sequence[Verdict]) -> dict:
+def build_report(command: str, digest: str, verdicts: Sequence) -> dict:
+    """The report of ``judge`` or ``detect``: a header and each verdict's dict."""
+    fmt, section = _SECTIONS[command]
     return {
-        "format": JUDGE_FORMAT,
+        "format": fmt,
         "engine_version": __version__,
         "input_digest": digest,
-        "verdicts": [v.to_dict() for v in verdicts],
-    }
-
-
-def build_detect_report(digest: str, trace_results: Sequence[dict]) -> dict:
-    """trace_results entries are built by the CLI from materialized traces."""
-    return {
-        "format": DETECT_FORMAT,
-        "engine_version": __version__,
-        "input_digest": digest,
-        "traces": list(trace_results),
-    }
-
-
-def trace_result_obj(
-    trace_id: str,
-    domination: DominationResult,
-    steps: Sequence[tuple[int, str, Sequence[Finding], PaternalismResult]],
-) -> dict:
-    return {
-        "trace": trace_id,
-        "domination": {
-            "status": domination.status,
-            "evidence": _canonical_evidence(domination.evidence),
-        },
-        "steps": [
-            {
-                "step": index,
-                "interaction": rec_id,
-                "findings": [finding_dict(f) for f in findings],
-                "paternalism": {
-                    "status": paternalism.status,
-                    "failed_clauses": list(paternalism.failed_clauses),
-                },
-            }
-            for index, rec_id, findings, paternalism in steps
-        ],
+        section: [v.to_dict() for v in verdicts],
     }
 
 
@@ -143,14 +108,10 @@ def emit_human(report: dict, *, color: bool = False) -> str:
     lines.append(f"capkit {title} (engine {report['engine_version']})")
     lines.append(f"input {report['input_digest']}")
     lines.append("")
-    if kind == JUDGE_FORMAT:
-        for verdict in report["verdicts"]:
-            _render_verdict(verdict, lines, color)
-            lines.append("")
-    else:
-        for trace in report["traces"]:
-            _render_trace(trace, lines, color)
-            lines.append("")
+    render = _render_verdict if kind == JUDGE_FORMAT else _render_trace
+    for item in report["verdicts" if kind == JUDGE_FORMAT else "traces"]:
+        render(item, lines, color)
+        lines.append("")
     while lines and lines[-1] == "":
         lines.pop()
     return "\n".join(lines) + "\n"

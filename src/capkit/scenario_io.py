@@ -498,7 +498,7 @@ class _Parser:
         )
 
         maps = self.maps_obj(
-            self.require(obj, "maps", path), f"{path}.maps", schemas, functionings
+            self.require(obj, "maps", path), f"{path}.maps", schemas, functionings, fv_ids
         )
 
         theta = self.rational_vector(
@@ -710,7 +710,7 @@ class _Parser:
 
     # -- valuation maps ----------------------------------------------------
 
-    def maps_obj(self, value, path, schemas, functionings) -> Optional[dict]:
+    def maps_obj(self, value, path, schemas, functionings, fv_ids) -> Optional[dict]:
         obj = self.obj(value, path)
         if obj is None:
             return None
@@ -741,6 +741,7 @@ class _Parser:
                 len(schemas[space]),
                 len(schemas["B"]),
                 functionings,
+                fv_ids,
                 same_values,
             )
             if parsed is None:
@@ -750,11 +751,11 @@ class _Parser:
         return out if ok else None
 
     def valuation_map(
-        self, value, path, map_id, codomain_len, domain_len, functionings, same_values
+        self, value, path, map_id, codomain_len, domain_len, functionings, fv_ids, same_values
     ) -> Optional[ValuationMap]:
-        """``same_values`` is ``_equal_value_pairs(functionings)``: a table
-        must give each such pair equal images, or the map is not a function
-        of the functioning itself."""
+        """``fv_ids`` holds the ids of ``functionings``.  ``same_values`` is
+        ``_equal_value_pairs(functionings)``: a table must give each such pair
+        equal images, or the map is not a function of the functioning itself."""
         obj = self.obj(value, path)
         if obj is None:
             return None
@@ -768,12 +769,11 @@ class _Parser:
             )
             if entries_obj is None:
                 return None
-            fv_by_id = {fv.id: fv for fv in functionings}
             entries = {}
             ok = True
             for fid, raw in entries_obj.items():
                 epath = f"{path}.entries.{fid}"
-                if fid not in fv_by_id:
+                if fid not in fv_ids:
                     self.error(epath, f"entry for unknown functioning {fid!r}")
                     ok = False
                     continue
@@ -824,10 +824,8 @@ class _Parser:
             linear = ValuationMap(map_id=map_id, form="linear", matrix=tuple(rows))
             # Reports print images, so each must print within the digit limit;
             # the map keeps them, so no image is computed twice.
-            images = {}
             for fv in functionings:
-                image = images[fv.value_key] = linear.apply(fv)
-                if any(exceeds_digit_limit(x) for x in image):
+                if any(exceeds_digit_limit(x) for x in linear.apply(fv)):
                     self.error(
                         f"{path}.matrix",
                         f"map {map_id!r} gives functioning {fv.id!r} an image whose "
@@ -835,7 +833,7 @@ class _Parser:
                         f"{sys.get_int_max_str_digits()} digits",
                     )
                     return None
-            return replace(linear, images=images)
+            return linear
         self.error(f"{path}.form", "valuation map form must be 'table' or 'linear'")
         return None
 
@@ -949,6 +947,7 @@ class _Parser:
                 len(scenario.schemas["P"]),
                 len(scenario.schemas["B"]),
                 scenario.functionings,
+                scenario._fv_by_id,  # the main scenario's id index
                 _equal_value_pairs(scenario.functionings),
             )
 

@@ -9,6 +9,7 @@ internal invariant failure from a file is (by design) not possible.
 
 from __future__ import annotations
 
+import ast
 import gc
 import hashlib
 import json
@@ -22,6 +23,7 @@ import pytest
 
 import capkit
 import capkit.cli as cli
+import capkit.report
 from capkit.errors import InternalInvariantError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -353,6 +355,53 @@ class TestInternalFailures:
         captured = capsys.readouterr()
         assert code == 3
         assert "RuntimeError" in captured.err
+
+    def test_detect_refuses_an_unevidenced_finding(self, monkeypatch, capsys):
+        import capkit.judgments.verdict as verdict
+        from capkit.judgments.failures import DominationResult
+
+        monkeypatch.setattr(
+            verdict, "detect_domination", lambda steps: DominationResult("finding", ())
+        )
+        code = cli.main(["detect", str(DOMINATION)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "domination outcome produced no evidence for trace 't_feed_cycle'" in captured.err
+
+
+class TestLayering:
+    """The CLI and the report layer use the judgment layer's public names
+    only, and the CLI runs no detector itself."""
+
+    @staticmethod
+    def _imports(module) -> list[tuple[str, str]]:
+        """(source module without the package prefix, name) per imported name."""
+        tree = ast.parse(Path(module.__file__).read_text())
+        return [
+            ((node.module or "").removeprefix("capkit."), alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
+
+    @pytest.mark.parametrize("module", [cli, capkit.report], ids=["cli", "report"])
+    def test_no_private_judgment_names(self, module):
+        private = [
+            (source, name)
+            for source, name in self._imports(module)
+            if source.startswith("judgments") and name.startswith("_")
+        ]
+        assert private == []
+
+    def test_cli_imports_no_detector(self):
+        import capkit.judgments.failures as failures
+
+        detectors = {name for name in vars(failures) if name.startswith("detect_")}
+        detectors.add("paternalism_check")
+        imported = self._imports(cli)
+        assert [name for source, name in imported if source == "judgments.failures"] == []
+        assert [name for _, name in imported if name in detectors] == []
 
 
 class TestCollectorState:

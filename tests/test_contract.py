@@ -24,6 +24,8 @@ import pytest
 
 import capkit.cli as cli
 import genlib
+from capkit.judgments import judge, materialize_trace
+from capkit.scenario_io import parse_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RANSOMWARE = json.loads((FIXTURES / "ransomware.scn").read_text())
@@ -113,6 +115,36 @@ def _check_contract(path: Path, capsys) -> int:
 @pytest.mark.parametrize("path", SHIPPED + INVALID, ids=lambda p: p.name)
 def test_fixture_honours_exit_code_contract(path, capsys):
     _check_contract(path, capsys)
+
+
+def _give_and_take() -> dict:
+    """domination.trc with two records: ``i_give`` adds a resource and
+    ``i_take`` removes it, so ``i_take`` applies only after ``i_give``, in
+    the one trace."""
+    doc = json.loads((FIXTURES / "domination.trc").read_text())
+    template = doc["interactions"][0]
+    give = {"resources_added": [{"id": "x_extra", "values": [1]}]}
+    doc["interactions"] = [
+        {**template, "id": "i_give", "deltas": give},
+        {**template, "id": "i_take", "deltas": {"resources_removed": ["x_extra"]}},
+    ]
+    steps = [
+        {"interaction": rec_id, "target_choice": "b_rally", "actor_desired": "b_rally"}
+        for rec_id in ("i_give", "i_take")
+    ]
+    doc["traces"] = [{"id": "t_give_take", "steps": steps}]
+    return doc
+
+
+def test_record_that_applies_only_in_a_trace_is_judged_on_its_step(tmp_path, capsys):
+    path = tmp_path / "give_take.json"
+    path.write_text(json.dumps(_give_and_take()))
+    assert _check_contract(path, capsys) == 0
+    assert cli.main(["judge", str(path)]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    doc, _ = parse_document(path.read_text())
+    steps = materialize_trace(doc.scenario, doc.records_by_id(), doc.traces[0])
+    assert verdicts == [judge(s.before, s.after, s.record).to_dict() for s in steps]
 
 
 @pytest.mark.parametrize("name,doc", MUTATIONS, ids=[name for name, _ in MUTATIONS])

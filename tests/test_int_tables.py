@@ -3,6 +3,7 @@ judgments that run on them, against Fraction arithmetic and the oracle."""
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -410,11 +411,28 @@ def test_successor_believed_world_parses_and_judges_like_the_oracle(linear):
 def test_linear_apply_is_one_lookup():
     m = ValuationMap("v", "linear", matrix=((F(1), F(1, 2)),))
     fv = FunctioningVector("b0", (F(1), F(1)))
-    parsed = ValuationMap("v", "linear", matrix=m.matrix, images={fv.value_key: (F(9),)})
+    parsed = ValuationMap("v", "linear", matrix=m.matrix)
+    parsed.images[fv.value_key] = (F(9),)  # as if the parser had computed it
     assert m.apply(fv) == (F(3, 2),)
     assert parsed.apply(fv) == (F(9),)  # read from images, not recomputed
     other = FunctioningVector("b1", (F(2), F(0)))
     assert parsed.apply(other) == (F(2),)  # a vector outside the catalog is computed
+
+
+def test_replaced_linear_matrix_never_reads_old_images():
+    """The parser leaves each catalog image in the map's memo; a map made by
+    ``replace`` with a new matrix starts with an empty one."""
+    data = json.loads((FIXTURES / "grocery.scn").read_text())
+    data["scenario"]["maps"]["v"] = {"form": "linear", "matrix": [[1, 1, 1], [1, 1, 1]]}
+    doc, _ = parse_document(json.dumps(data))
+    fv = doc.scenario.functioning("b_home_cooking")
+    parsed = doc.scenario.v
+    assert fv.value_key in parsed.images
+    assert parsed.apply(fv) == (4, 4)
+    negated = replace(parsed, matrix=((F(-1),) * 3,) * 2)
+    assert negated.apply(fv) == (-4, -4)
+    assert frontier._table(negated)[0] == {fv.value_key: (-4, -4)}
+    assert parsed.apply(fv) == (4, 4)
 
 
 # ---------------------------------------------------------------------------
