@@ -42,7 +42,7 @@ from .errors import (
     TraceError,
     ValuationError,
 )
-from .judgments.records import apply_interaction, first_trace_step
+from .judgments.records import apply_interaction, first_trace_steps
 from .judgments.verdict import detect_trace, judge
 from .model.freedom import compute_freedom, compute_real_freedom, maximal_plans
 from .rationals import format_rational
@@ -133,14 +133,15 @@ def cmd_frontier(args) -> int:
     return EXIT_OK
 
 
-def _judged_pair(doc, rec):
+def _judged_pair(doc, rec, step_of):
     """The base scenario and ``rec`` applied to it.  A record that applies
     only inside a trace is judged on the before/after pair of its first step
-    there (traces in id order), the pair that validate checked."""
+    there (traces in id order), the pair that validate checked; ``step_of``
+    is ``first_trace_steps`` over the document."""
     try:
         return doc.scenario, apply_interaction(doc.scenario, rec)
     except DeltaError:
-        step = first_trace_step(doc.scenario, doc.records_by_id(), doc.traces, rec.id)
+        step = step_of(rec.id)
         if step is None:
             raise
         return step.before, step.after
@@ -149,8 +150,9 @@ def _judged_pair(doc, rec):
 def cmd_judge(args) -> int:
     doc, _, digest = _load(args.file)
     records = doc.interactions if args.interaction is None else [doc.interaction(args.interaction)]
+    step_of = first_trace_steps(doc.scenario, doc.records_by_id(), doc.traces)
     verdicts = [
-        judge(*_judged_pair(doc, rec), rec, require_change=not args.strict_formula)
+        judge(*_judged_pair(doc, rec, step_of), rec, require_change=not args.strict_formula)
         for rec in records
     ]
     return _emit(args, digest, verdicts)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ..errors import DeltaError, TraceError
 from ..model.freedom import compute_freedom
@@ -208,7 +208,16 @@ def materialize_trace(
     """
     if not trace.steps:
         raise TraceError(f"trace {trace.id!r} has no steps")
-    out = []
+    return tuple(_chain_trace(base, records, trace))
+
+
+def _chain_trace(
+    base: Scenario,
+    records: Mapping[str, InteractionRecord],
+    trace: Trace,
+) -> Iterator[MaterializedStep]:
+    """The steps of :func:`materialize_trace`, each chained when it is asked
+    for: a step's TraceError is raised only once the steps before it are out."""
     current = base
     for index, step in enumerate(trace.steps):
         rec = records.get(step.interaction)
@@ -238,28 +247,48 @@ def materialize_trace(
                 f"trace {trace.id!r} step {index} target_choice "
                 f"{step.target_choice!r} is not realizable after the step"
             )
-        out.append(
-            MaterializedStep(
-                index=index,
-                record=rec,
-                before=current,
-                after=after,
-                target_choice=choice,
-                actor_desired=after.functioning(step.actor_desired),
-            )
+        yield MaterializedStep(
+            index=index,
+            record=rec,
+            before=current,
+            after=after,
+            target_choice=choice,
+            actor_desired=after.functioning(step.actor_desired),
         )
         current = after
-    return tuple(out)
 
 
-def first_trace_step(
-    base: Scenario, records: Mapping[str, InteractionRecord], traces: Sequence[Trace], rec_id: str
-) -> Optional[MaterializedStep]:
-    """The first step that applies ``rec_id`` in the first of ``traces`` that
-    references it, chained from ``base``; None when no trace does."""
-    for trace in traces:
+def first_trace_steps(
+    base: Scenario, records: Mapping[str, InteractionRecord], traces: Sequence[Trace]
+) -> Callable[[str], Optional[MaterializedStep]]:
+    """``step_of(rec_id)``: the first step that applies ``rec_id`` in the
+    first of ``traces`` that references it, chained from ``base``; None when
+    no trace does.
+
+    Each trace is chained once, and only as far as the steps asked for, so
+    asking for every record of a k-step trace applies k deltas, not k²/2.  A
+    trace that does not chain up to the step raises its TraceError, and
+    raises it again when asked once more.
+    """
+    first: dict[str, tuple[int, int]] = {}  # record id -> (trace position, step index)
+    for t, trace in enumerate(traces):
         for index, step in enumerate(trace.steps):
-            if step.interaction == rec_id:
-                prefix = replace(trace, steps=trace.steps[: index + 1])
-                return materialize_trace(base, records, prefix)[-1]
-    return None
+            first.setdefault(step.interaction, (t, index))
+    chained: dict[int, tuple[Iterator[MaterializedStep], list[MaterializedStep]]] = {}
+
+    def step_of(rec_id: str) -> Optional[MaterializedStep]:
+        if rec_id not in first:
+            return None
+        t, index = first[rec_id]
+        if t not in chained:
+            chained[t] = (_chain_trace(base, records, traces[t]), [])
+        chain, steps = chained[t]
+        try:
+            while len(steps) <= index:
+                steps.append(next(chain))
+        except TraceError:
+            del chained[t]  # the next ask chains the trace afresh
+            raise
+        return steps[index]
+
+    return step_of

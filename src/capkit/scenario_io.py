@@ -25,6 +25,7 @@ import marshal
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from .errors import DocumentError, SchemaError
@@ -266,6 +267,37 @@ class _Parser:
     def boolean(self, value, path) -> Optional[bool]:
         return value if isinstance(value, bool) else self.mistyped(value, path, "true or false")
 
+    def items(self, value, path, walk, key=None, label="", at="") -> tuple[list, bool]:
+        """Every item of the array ``value``, walked by ``walk(item, item_path)``.
+
+        An item the walk returns None for was diagnosed there.  With ``key``,
+        an item whose ``key(result)`` repeats an earlier accepted one is
+        diagnosed as ``duplicate {label} {key!r}`` at its path plus ``at``.
+        Returns (accepted results, whether every item was accepted); a value
+        that is not an array gives ``([], False)``.
+        """
+        arr = self.array(value, path)
+        if arr is None:
+            return [], False
+        out = []
+        seen = set()
+        ok = True
+        for i, item in enumerate(arr):
+            ipath = f"{path}[{i}]"
+            result = walk(item, ipath)
+            if result is None:
+                ok = False
+                continue
+            if key is not None:
+                name = key(result)
+                if name in seen:
+                    self.error(ipath + at, f"duplicate {label} {name!r}")
+                    ok = False
+                    continue
+                seen.add(name)
+            out.append(result)
+        return out, ok
+
     def memo(self, cache: dict, walk, raw, path: str, objects: Optional[dict] = None):
         """``walk(raw, path)``, run once per distinct ``raw`` in ``cache``.
 
@@ -352,13 +384,8 @@ class _Parser:
         return out
 
     def _walk_vector(self, arr: list, path) -> Optional[tuple]:
-        items = []
-        for i, item in enumerate(arr):
-            rat = self.rational(item, f"{path}[{i}]")
-            if rat is None:
-                return None
-            items.append(rat)
-        return tuple(items)
+        values, ok = self.items(arr, path, self.rational)
+        return tuple(values) if ok else None
 
     def value_key(self, values: tuple) -> tuple[int, ...]:
         """``value_key_of(values)``, built once per distinct parsed vector.
@@ -389,33 +416,27 @@ class _Parser:
     # -- schemas -----------------------------------------------------------
 
     def dimension_list(self, value, path) -> Optional[tuple[Dimension, ...]]:
-        arr = self.array(value, path)
-        if arr is None:
+        dims, ok = self.items(value, path, self.dimension, attrgetter("name"), "dimension name")
+        if not ok:
             return None
-        dims = []
-        seen = set()
-        for i, item in enumerate(arr):
-            dpath = f"{path}[{i}]"
-            obj = self.obj(item, dpath)
-            if obj is None:
-                return None
-            self.check_fields(obj, {"name", "description"}, dpath)
-            name = self.string(self.require(obj, "name", dpath), f"{dpath}.name")
-            if name is None:
-                return None
-            if name in seen:
-                self.error(dpath, f"duplicate dimension name {name!r}")
-                return None
-            seen.add(name)
-            description = obj.get("description", "")
-            if not isinstance(description, str):
-                self.error(f"{dpath}.description", "expected a string")
-                description = ""
-            dims.append(Dimension(name=name, description=description))
         if not dims:
             self.error(path, "a dimension schema needs at least one dimension")
             return None
         return tuple(dims)
+
+    def dimension(self, item, path) -> Optional[Dimension]:
+        obj = self.obj(item, path)
+        if obj is None:
+            return None
+        self.check_fields(obj, {"name", "description"}, path)
+        name = self.string(self.require(obj, "name", path), f"{path}.name")
+        if name is None:
+            return None
+        description = obj.get("description", "")
+        if not isinstance(description, str):
+            self.error(f"{path}.description", "expected a string")
+            description = ""
+        return Dimension(name=name, description=description)
 
     # -- scenario ----------------------------------------------------------
 
@@ -545,116 +566,86 @@ class _Parser:
         )
 
     def resource_list(self, value, path, width) -> Optional[list[ResourceVector]]:
-        arr = self.array(value, path)
-        if arr is None:
-            return None
-        out = []
-        seen = set()
-        ok = True
-        for i, item in enumerate(arr):
-            rpath = f"{path}[{i}]"
-            obj = self.obj(item, rpath)
-            if obj is None:
-                ok = False
-                continue
-            self.check_fields(obj, {"id", "values"}, rpath)
-            rid = self.string(self.require(obj, "id", rpath), f"{rpath}.id")
-            values = self.rational_vector(
-                self.require(obj, "values", rpath), f"{rpath}.values", width
-            )
-            if rid is None or values is None:
-                ok = False
-                continue
-            if rid in seen:
-                self.error(rpath, f"duplicate resource id {rid!r}")
-                ok = False
-                continue
-            seen.add(rid)
-            out.append(ResourceVector(id=rid, values=values))
+        out, ok = self.items(
+            value,
+            path,
+            lambda item, p: self.resource(item, p, width),
+            attrgetter("id"),
+            "resource id",
+        )
         return out if ok else None
+
+    def resource(self, item, path, width) -> Optional[ResourceVector]:
+        obj = self.obj(item, path)
+        if obj is None:
+            return None
+        self.check_fields(obj, {"id", "values"}, path)
+        rid = self.string(self.require(obj, "id", path), f"{path}.id")
+        values = self.rational_vector(
+            self.require(obj, "values", path), f"{path}.values", width
+        )
+        if rid is None or values is None:
+            return None
+        return ResourceVector(id=rid, values=values)
 
     def functioning_list(self, value, path, width) -> Optional[list[FunctioningVector]]:
-        arr = self.array(value, path)
-        if arr is None:
-            return None
-        out = []
-        seen = set()
-        ok = True
-        for i, item in enumerate(arr):
-            fpath = f"{path}[{i}]"
-            obj = self.obj(item, fpath)
-            if obj is None:
-                ok = False
-                continue
-            self.check_fields(obj, {"id", "values", "unreachable"}, fpath)
-            fid = self.string(self.require(obj, "id", fpath), f"{fpath}.id")
-            values = self.rational_vector(
-                self.require(obj, "values", fpath), f"{fpath}.values", width
-            )
-            unreachable = False
-            if "unreachable" in obj:
-                flag = self.boolean(obj["unreachable"], f"{fpath}.unreachable")
-                unreachable = bool(flag)
-            if fid is None or values is None:
-                ok = False
-                continue
-            if fid in seen:
-                self.error(fpath, f"duplicate functioning id {fid!r}")
-                ok = False
-                continue
-            seen.add(fid)
-            out.append(
-                FunctioningVector(
-                    id=fid,
-                    values=values,
-                    unreachable=unreachable,
-                    value_key=self.value_key(values),
-                )
-            )
+        out, ok = self.items(
+            value,
+            path,
+            lambda item, p: self.functioning(item, p, width),
+            attrgetter("id"),
+            "functioning id",
+        )
         return out if ok else None
 
-    def guard_list(self, value, path, characteristics, social) -> Optional[tuple]:
-        arr = self.array(value, path)
-        if arr is None:
+    def functioning(self, item, path, width) -> Optional[FunctioningVector]:
+        obj = self.obj(item, path)
+        if obj is None:
             return None
-        out = []
-        ok = True
-        for i, item in enumerate(arr):
-            gpath = f"{path}[{i}]"
-            obj = self.obj(item, gpath)
-            if obj is None:
-                ok = False
-                continue
-            self.check_fields(obj, {"context", "component", "min"}, gpath)
-            context = self.string(
-                self.require(obj, "context", gpath), f"{gpath}.context"
-            )
-            component = self.string(
-                self.require(obj, "component", gpath), f"{gpath}.component"
-            )
-            minimum = self.rational(self.require(obj, "min", gpath), f"{gpath}.min")
-            if context is None or component is None or minimum is None:
-                ok = False
-                continue
-            if context not in GUARD_CONTEXTS:
-                self.error(
-                    f"{gpath}.context",
-                    f"guard context must be one of {', '.join(GUARD_CONTEXTS)}",
-                )
-                ok = False
-                continue
-            vector = characteristics if context == "characteristics" else social
-            if component not in vector:
-                self.error(
-                    f"{gpath}.component",
-                    f"unknown {context} component {component!r}",
-                )
-                ok = False
-                continue
-            out.append(Guard(context=context, component=component, min=minimum))
+        self.check_fields(obj, {"id", "values", "unreachable"}, path)
+        fid = self.string(self.require(obj, "id", path), f"{path}.id")
+        values = self.rational_vector(
+            self.require(obj, "values", path), f"{path}.values", width
+        )
+        unreachable = False
+        if "unreachable" in obj:
+            flag = self.boolean(obj["unreachable"], f"{path}.unreachable")
+            unreachable = bool(flag)
+        if fid is None or values is None:
+            return None
+        return FunctioningVector(
+            id=fid, values=values, unreachable=unreachable, value_key=self.value_key(values)
+        )
+
+    def guard_list(self, value, path, characteristics, social) -> Optional[tuple]:
+        out, ok = self.items(
+            value, path, lambda item, p: self.guard(item, p, characteristics, social)
+        )
         if not ok:
             return None
         return tuple(sorted(out, key=lambda g: (g.context, g.component, g.min)))
+
+    def guard(self, item, path, characteristics, social) -> Optional[Guard]:
+        obj = self.obj(item, path)
+        if obj is None:
+            return None
+        self.check_fields(obj, {"context", "component", "min"}, path)
+        context = self.string(self.require(obj, "context", path), f"{path}.context")
+        component = self.string(self.require(obj, "component", path), f"{path}.component")
+        minimum = self.rational(self.require(obj, "min", path), f"{path}.min")
+        if context is None or component is None or minimum is None:
+            return None
+        if context not in GUARD_CONTEXTS:
+            self.error(
+                f"{path}.context",
+                f"guard context must be one of {', '.join(GUARD_CONTEXTS)}",
+            )
+            return None
+        vector = characteristics if context == "characteristics" else social
+        if component not in vector:
+            self.error(f"{path}.component", f"unknown {context} component {component!r}")
+            return None
+        return Guard(context=context, component=component, min=minimum)
 
     def utilization_entry(
         self, item, path, resource_ids, fv_ids, characteristics, social
@@ -687,25 +678,16 @@ class _Parser:
     def utilization_list(
         self, value, path, resource_ids, fv_ids, characteristics, social
     ) -> Optional[list[UtilizationEntry]]:
-        arr = self.array(value, path)
-        if arr is None:
-            return None
-        out = []
-        seen = set()
-        ok = True
-        for i, item in enumerate(arr):
-            entry = self.utilization_entry(
-                item, f"{path}[{i}]", resource_ids, fv_ids, characteristics, social
-            )
-            if entry is None:
-                ok = False
-                continue
-            if entry.pattern_id in seen:
-                self.error(f"{path}[{i}]", f"duplicate pattern id {entry.pattern_id!r}")
-                ok = False
-                continue
-            seen.add(entry.pattern_id)
-            out.append(entry)
+        """``fv_ids`` is any container of the catalog's functioning ids."""
+        out, ok = self.items(
+            value,
+            path,
+            lambda item, p: self.utilization_entry(
+                item, p, resource_ids, fv_ids, characteristics, social
+            ),
+            attrgetter("pattern_id"),
+            "pattern id",
+        )
         return out if ok else None
 
     # -- valuation maps ----------------------------------------------------
@@ -815,12 +797,13 @@ class _Parser:
                     f"expected {codomain_len} rows, got {len(matrix_arr)}",
                 )
                 return None
-            rows = []
-            for i, raw_row in enumerate(matrix_arr):
-                row = self.rational_vector(raw_row, f"{path}.matrix[{i}]", domain_len)
-                if row is None:
-                    return None
-                rows.append(row)
+            rows, ok = self.items(
+                matrix_arr,
+                f"{path}.matrix",
+                lambda raw_row, p: self.rational_vector(raw_row, p, domain_len),
+            )
+            if not ok:
+                return None
             linear = ValuationMap(map_id=map_id, form="linear", matrix=tuple(rows))
             # Reports print images, so each must print within the digit limit;
             # the map keeps them, so no image is computed twice.
@@ -1085,7 +1068,7 @@ class _Parser:
             obj.get("utilization_added", []),
             f"{path}.utilization_added",
             None,
-            {fv.id for fv in scenario.functionings},
+            scenario._fv_by_id,  # the main scenario's id index
             scenario.characteristics,
             scenario.social,
         )
@@ -1111,19 +1094,8 @@ class _Parser:
         )
 
     def id_list(self, value, path) -> Optional[tuple[str, ...]]:
-        arr = self.array(value, path)
-        if arr is None:
-            return None
-        out = []
-        for i, item in enumerate(arr):
-            name = self.string(item, f"{path}[{i}]")
-            if name is None:
-                return None
-            if name in out:
-                self.error(f"{path}[{i}]", f"duplicate id {name!r}")
-                return None
-            out.append(name)
-        return tuple(out)
+        out, ok = self.items(value, path, self.string, str, "id")
+        return tuple(out) if ok else None
 
     def context_delta(self, value, path, base, label) -> Optional[dict]:
         offsets = self.named_rationals(value, path)
@@ -1150,41 +1122,29 @@ class _Parser:
         if not arr:
             self.error(f"{path}.steps", "a trace needs at least one step")
             return None
-        steps = []
-        for i, raw in enumerate(arr):
-            spath = f"{path}.steps[{i}]"
-            sobj = self.obj(raw, spath)
-            if sobj is None:
+        steps, ok = self.items(
+            arr, f"{path}.steps", lambda raw, p: self.trace_step(raw, p, record_ids, scenario)
+        )
+        return Trace(id=trace_id, steps=tuple(steps)) if ok else None
+
+    def trace_step(self, raw, path, record_ids, scenario: Scenario) -> Optional[TraceStep]:
+        obj = self.obj(raw, path)
+        if obj is None:
+            return None
+        self.check_fields(obj, {"interaction", "target_choice", "actor_desired"}, path)
+        rec_id = self.string(self.require(obj, "interaction", path), f"{path}.interaction")
+        choice = self.string(self.require(obj, "target_choice", path), f"{path}.target_choice")
+        desired = self.string(self.require(obj, "actor_desired", path), f"{path}.actor_desired")
+        if rec_id is None or choice is None or desired is None:
+            return None
+        if rec_id not in record_ids:
+            self.error(f"{path}.interaction", f"unknown interaction id {rec_id!r}")
+            return None
+        for label, fid in (("target_choice", choice), ("actor_desired", desired)):
+            if not scenario.has_functioning(fid):
+                self.error(f"{path}.{label}", f"unknown functioning id {fid!r}")
                 return None
-            self.check_fields(
-                sobj, {"interaction", "target_choice", "actor_desired"}, spath
-            )
-            rec_id = self.string(
-                self.require(sobj, "interaction", spath), f"{spath}.interaction"
-            )
-            choice = self.string(
-                self.require(sobj, "target_choice", spath), f"{spath}.target_choice"
-            )
-            desired = self.string(
-                self.require(sobj, "actor_desired", spath), f"{spath}.actor_desired"
-            )
-            if rec_id is None or choice is None or desired is None:
-                return None
-            if rec_id not in record_ids:
-                self.error(
-                    f"{spath}.interaction", f"unknown interaction id {rec_id!r}"
-                )
-                return None
-            for label, fid in (("target_choice", choice), ("actor_desired", desired)):
-                if not scenario.has_functioning(fid):
-                    self.error(
-                        f"{spath}.{label}", f"unknown functioning id {fid!r}"
-                    )
-                    return None
-            steps.append(
-                TraceStep(interaction=rec_id, target_choice=choice, actor_desired=desired)
-            )
-        return Trace(id=trace_id, steps=tuple(steps))
+        return TraceStep(interaction=rec_id, target_choice=choice, actor_desired=desired)
 
 
 # ---------------------------------------------------------------------------
@@ -1259,37 +1219,26 @@ def parse_document(
                 f"version {FORMAT_VERSION}",
             )
         scenario = p.scenario(p.require(obj, "scenario", "$"), "$.scenario")
-        interactions: list[InteractionRecord] = []
         if scenario is not None:
-            recs = p.array(obj.get("interactions", []), "$.interactions")
-            if recs is not None:
-                seen = set()
-                for i, item in enumerate(recs):
-                    rec = p.interaction(item, f"$.interactions[{i}]", scenario)
-                    if rec is None:
-                        continue
-                    if rec.id in seen:
-                        p.error(
-                            f"$.interactions[{i}].id",
-                            f"duplicate interaction id {rec.id!r}",
-                        )
-                        continue
-                    seen.add(rec.id)
-                    interactions.append(rec)
-            traces: list[Trace] = []
-            raw_traces = p.array(obj.get("traces", []), "$.traces")
-            if raw_traces is not None:
-                record_ids = {rec.id for rec in interactions}
-                seen_traces = set()
-                for i, item in enumerate(raw_traces):
-                    trace = p.trace(item, f"$.traces[{i}]", record_ids, scenario)
-                    if trace is None:
-                        continue
-                    if trace.id in seen_traces:
-                        p.error(f"$.traces[{i}].id", f"duplicate trace id {trace.id!r}")
-                        continue
-                    seen_traces.add(trace.id)
-                    traces.append(trace)
+            # Each list keeps the items that parsed, so traces still see the
+            # ids of the records that did.
+            interactions, _ = p.items(
+                obj.get("interactions", []),
+                "$.interactions",
+                lambda item, path: p.interaction(item, path, scenario),
+                attrgetter("id"),
+                "interaction id",
+                ".id",
+            )
+            record_ids = {rec.id for rec in interactions}
+            traces, _ = p.items(
+                obj.get("traces", []),
+                "$.traces",
+                lambda item, path: p.trace(item, path, record_ids, scenario),
+                attrgetter("id"),
+                "trace id",
+                ".id",
+            )
             if not p.failed and version == FORMAT_VERSION:
                 document = ScenarioDocument(
                     format_version=FORMAT_VERSION,

@@ -3,9 +3,11 @@
 ``validate`` exits 0 or 2 on every input, and a document it accepts can
 always be evaluated: ``frontier``, ``judge`` and ``detect`` then exit 0 or 1,
 never 2 (an unlocated input error) or 3.  The corpus is every shipped
-fixture, the ``invalid/`` corpus, and deterministic mutations of the
+fixture, the ``invalid/`` corpus, deterministic mutations of the
 ransomware threat record that make its counterfactual scenario disagree
-with the main one in a dimension schema or in the transient map ``u``.
+with the main one in a dimension schema or in the transient map ``u``, and
+two size families: a chain of records that apply only inside a trace, and a
+long id list.
 
 Each shipped fixture is also rewritten with its JSON integers as decimals
 (``n.0``): every command must then print what it prints for the original,
@@ -23,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import capkit.cli as cli
+import capkit.judgments.records as records
 import genlib
 from capkit.judgments import judge, materialize_trace
 from capkit.scenario_io import parse_document
@@ -136,15 +139,81 @@ def _give_and_take() -> dict:
     return doc
 
 
-def test_record_that_applies_only_in_a_trace_is_judged_on_its_step(tmp_path, capsys):
-    path = tmp_path / "give_take.json"
-    path.write_text(json.dumps(_give_and_take()))
+def _chain(k: int) -> dict:
+    """domination.trc with ``k`` records in one trace: record ``i`` adds the
+    resource ``x_c{i}`` and removes ``x_c{i-1}``, so every record after the
+    first applies only at its own step of the trace."""
+    doc = json.loads((FIXTURES / "domination.trc").read_text())
+    template = doc["interactions"][0]
+    recs = []
+    for i in range(k):
+        deltas = {"resources_added": [{"id": f"x_c{i}", "values": [1]}]}
+        if i:
+            deltas["resources_removed"] = [f"x_c{i - 1}"]
+        recs.append({**template, "id": f"i_{i:03d}", "deltas": deltas})
+    doc["interactions"] = recs
+    steps = [
+        {"interaction": rec["id"], "target_choice": "b_rally", "actor_desired": "b_rally"}
+        for rec in recs
+    ]
+    doc["traces"] = [{"id": "t_chain", "steps": steps}]
+    return doc
+
+
+def _long_id_list(n: int) -> dict:
+    """domination.trc with ``n`` more utilization patterns, all of which its
+    first record removes, listed in one ``utilization_removed``."""
+    doc = json.loads((FIXTURES / "domination.trc").read_text())
+    extra = [f"f_extra_{i}" for i in range(n)]
+    doc["scenario"]["utilization"] += [
+        {"pattern_id": pid, "resource_id": "x_evening", "output": "b_rally"} for pid in extra
+    ]
+    doc["interactions"][0]["deltas"]["utilization_removed"] = extra
+    return doc
+
+
+def _judged_on_trace_steps(doc: dict, path: Path, capsys) -> None:
+    """``doc`` passes the contract check, and judge gives each record the
+    verdict of ``judge`` on its step of the document's one trace."""
+    path.write_text(json.dumps(doc))
     assert _check_contract(path, capsys) == 0
     assert cli.main(["judge", str(path)]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
-    doc, _ = parse_document(path.read_text())
-    steps = materialize_trace(doc.scenario, doc.records_by_id(), doc.traces[0])
+    parsed, _ = parse_document(path.read_text())
+    steps = materialize_trace(parsed.scenario, parsed.records_by_id(), parsed.traces[0])
     assert verdicts == [judge(s.before, s.after, s.record).to_dict() for s in steps]
+
+
+def test_record_that_applies_only_in_a_trace_is_judged_on_its_step(tmp_path, capsys):
+    _judged_on_trace_steps(_give_and_take(), tmp_path / "give_take.json", capsys)
+
+
+def test_chain_of_trace_only_records_is_judged_on_its_steps(tmp_path, capsys):
+    _judged_on_trace_steps(_chain(40), tmp_path / "chain.json", capsys)
+
+
+def test_long_id_list_honours_exit_code_contract(tmp_path, capsys):
+    path = tmp_path / "long_id_list.json"
+    path.write_text(json.dumps(_long_id_list(2000)))
+    assert _check_contract(path, capsys) == 0
+
+
+def test_judge_chains_each_trace_once(tmp_path, capsys, monkeypatch):
+    # Judging every trace-only record of a k-step chain applies each step's
+    # deltas once, not once per later record (about k²/2).
+    k = 60
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_chain(k)))
+    applied = []
+    real = records.apply_interaction
+
+    def counting(scenario, rec):
+        applied.append(rec.id)
+        return real(scenario, rec)
+
+    monkeypatch.setattr(records, "apply_interaction", counting)
+    assert cli.main(["judge", str(path)]) == 0
+    assert len(applied) <= 2 * k + 2
 
 
 @pytest.mark.parametrize("name,doc", MUTATIONS, ids=[name for name, _ in MUTATIONS])

@@ -16,6 +16,7 @@ from capkit.judgments.records import (
     Trace,
     TraceStep,
     apply_interaction,
+    first_trace_steps,
     materialize_trace,
 )
 from capkit.model.freedom import (
@@ -430,6 +431,25 @@ class TestTraceMaterialization:
         )
         with pytest.raises(TraceError, match="does not chain at step 1"):
             materialize_trace(base, {rec.id: rec}, trace)
+
+    def test_first_trace_steps_chains_only_as_far_as_asked(self):
+        base = _base_scenario()
+        take = _record(InteractionDeltas(resources_removed=("x_bike",)), "i_take")
+        after = _record(InteractionDeltas(), "i_after")
+        trace = Trace(
+            "t_twice",
+            (
+                TraceStep("i_take", "b_walk", "b_walk"),
+                TraceStep("i_take", "b_walk", "b_walk"),
+                TraceStep("i_after", "b_walk", "b_walk"),
+            ),
+        )
+        step_of = first_trace_steps(base, {"i_take": take, "i_after": after}, [trace])
+        assert step_of("i_take").before == base
+        assert step_of("i_ghost") is None
+        for _ in range(2):  # a trace that breaks raises on every ask
+            with pytest.raises(TraceError, match="does not chain at step 1"):
+                step_of("i_after")
 
     def test_choice_realizable_after_step_change(self):
         # The choice is judged against the post-step scenario, so an option
