@@ -16,6 +16,16 @@ Serialization is canonical: collections are id-sorted, object keys are
 sorted, rationals are emitted in lowest terms, and the text ends with a
 newline, so equal documents serialize to identical bytes and
 ``parse(serialize(doc)) == doc``.
+
+Both directions come from one declaration per object kind (a
+:class:`_Kind`): the document, scenario, schemas, dimension, resource,
+functioning, utilization entry, guard, maps, a valuation map of each form,
+record, deltas, trace and trace step.  Each row of a kind's table gives a
+field's JSON name, its walker and writer, whether it is required or its
+default, and whether it is left out of the output at its default.  One
+walker reads every kind from its table and one writer writes it back (the
+pickler combinators of Kennedy, JFP 2004); a kind adds only its
+cross-references.
 """
 
 from __future__ import annotations
@@ -23,10 +33,12 @@ from __future__ import annotations
 import json
 import marshal
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from operator import attrgetter
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DocumentError, SchemaError
 from .judgments.records import (
@@ -188,14 +200,26 @@ class _DocumentDecoder(json.JSONDecoder):
         return value, end
 
 
-# What ``require`` returns for a missing field.  The field is diagnosed
-# there, so the shape helpers return None for it without a second message.
+# What a field absent from its object reads as, before its default applies.
 _MISSING = object()
+
+# The default of a required field.
+_REQUIRED = object()
+
+# What a bad field value does to its object: fails it, ends its walk there,
+# or is replaced by the field's default (the object stays valid).
+_FAIL, _STOP, _DEFAULT = "fail", "stop", "default"
 
 _TOO_DEEP = Diagnostic("error", "document", "not valid JSON: nesting too deep")
 
 # Decoded kinds that are never a version, named as the diagnostic names them.
 _NOT_A_VERSION = {bool: "a boolean", dict: "an object", list: "an array", type(None): "null"}
+
+_CODOMAINS = {"v": "P", "r": "E", "u": "U"}
+
+# Sort keys of id-sorted collections.
+_ID = attrgetter("id")
+_PATTERN_ID = attrgetter("pattern_id")
 
 
 def _equal_value_pairs(functionings) -> list[tuple[str, str]]:
@@ -210,8 +234,162 @@ def _equal_value_pairs(functionings) -> list[tuple[str, str]]:
     return pairs
 
 
+class _Uses(NamedTuple):
+    """What a utilization entry and its guards may refer to; ``resource_ids``
+    None skips the resource check."""
+
+    resource_ids: Optional[set]
+    fv_ids: object  # any container of the catalog's functioning ids
+    characteristics: dict
+    social: dict
+
+
+class _MapContext(NamedTuple):
+    """What a valuation map is checked against.  ``same_values`` is
+    ``_equal_value_pairs(functionings)``: a table must give each such pair
+    equal images, or the map is not a function of the functioning itself."""
+
+    map_id: str
+    codomain_len: int
+    domain_len: int
+    functionings: tuple
+    fv_ids: object
+    same_values: list
+
+
+class _Row(NamedTuple):
+    """One field of an object kind.
+
+    ``walk(parser, raw, path, ctx, got)`` reads the field's raw value at
+    ``path``, given what the object was walked with (``ctx``) and the values
+    of its earlier fields (``got``); it returns None for a value it
+    diagnosed.  ``write`` turns a parsed value back into JSON.  An absent
+    optional field reads as ``default``: a list or map default is walked, so
+    it gets its checks; None, false or ``""`` is the value as it stands.
+    ``omit`` leaves the field out of the output at its default.
+    """
+
+    name: str
+    walk: Callable
+    write: Callable
+    default: object = _REQUIRED
+    omit: bool = False
+    on_error: str = _FAIL
+
+
+class _Kind:
+    """The field table of one object kind, and the one walker and writer of
+    objects.
+
+    ``noun`` names a field in the missing-field diagnostic.  After the
+    fields, ``check(parser, raw, got, path, ctx)`` runs (whether or not
+    every field was read), then ``finish(parser, got, path, ctx)`` builds the
+    object from the fields' values, or returns None once it has diagnosed a
+    cross-reference; it runs only when every field was read.  The writer
+    reads a built object's fields with ``read(obj, name)``.
+    """
+
+    def __init__(self, rows, finish, noun="field", check=None, read=getattr):
+        self.rows = rows
+        self.names = frozenset(row.name for row in rows)
+        self.valid = ", ".join(sorted(self.names))
+        # An absent field reads as the default it is walked with, or as _MISSING.
+        walked = [r.default if type(r.default) in (list, dict) else _MISSING for r in rows]
+        self.walks = tuple(
+            (r.name, r.walk, absent, r.default, r.on_error) for r, absent in zip(rows, walked)
+        )
+        self.finish = finish
+        self.noun = noun
+        self.check = check
+        self.read = read
+
+    def walk(self, p: "_Parser", raw, path: str, ctx=None, outer=None):
+        """The object of this kind that ``raw`` describes, or None once ``p``
+        has diagnosed it.
+
+        An unknown field is an error (a warning when lenient).  Fields are
+        walked in table order; a missing required one is diagnosed at
+        ``path``.  A bad value fails the object, ends the walk at once
+        (``_STOP``) or gives way to the default (``_DEFAULT``), as its row
+        says.  A table names ``kind.walk`` as the walker of a field or item
+        of this kind; ``outer``, the enclosing object's ``got``, is unused.
+        """
+        if not isinstance(raw, dict):
+            return p.mistyped(raw, path, "an object")
+        if not self.names.issuperset(raw):
+            report = p.warning if p.lenient else p.error
+            for key in raw:
+                if key not in self.names:
+                    report(path, f"unknown field {key!r}; valid fields: {self.valid}")
+        got = {}
+        ok = True
+        for name, walk, absent, default, on_error in self.walks:
+            value = raw.get(name, absent)
+            if value is not _MISSING:
+                value = walk(p, value, f"{path}.{name}", ctx, got)
+            elif default is _REQUIRED:
+                value = p.error(path, f"missing required {self.noun} {name!r}")
+            else:
+                got[name] = default
+                continue
+            if value is None:
+                if on_error is _STOP:
+                    return None
+                if on_error is _DEFAULT:
+                    value = default
+                else:
+                    ok = False
+            got[name] = value
+        if self.check is not None:
+            self.check(p, raw, got, path, ctx)
+        return self.finish(p, got, path, ctx) if ok else None
+
+    def write(self, obj) -> dict:
+        """The canonical JSON object of ``obj``, written from the same table."""
+        out = {}
+        for row in self.rows:
+            value = self.read(obj, row.name)
+            if value or not row.omit:
+                out[row.name] = row.write(value)
+        return out
+
+
+def _build(cls):
+    """The ``finish`` of a kind with no cross-references."""
+    return lambda p, got, path, ctx: cls(**got)
+
+
+def _vector(values) -> list:
+    return [format_rational(v) for v in values]
+
+
+def _named(mapping) -> dict:
+    return {name: format_rational(value) for name, value in mapping.items()}
+
+
+def _many(item: _Kind, order, label="", context=None) -> tuple[Callable, Callable]:
+    """(walk, write) of an array of ``item`` objects, kept sorted by ``order``.
+
+    With ``label``, an item whose ``order`` key repeats an earlier one is a
+    ``duplicate {label}`` error.  ``context(ctx, got)`` gives the items' ctx;
+    without it they get the array's own.
+    """
+
+    def walk(p, raw, path, ctx, got):
+        item_ctx = context(ctx, got) if context else ctx
+        out, ok = p.items(raw, path, item.walk, item_ctx, order if label else None, label)
+        return tuple(sorted(out, key=order)) if ok else None
+
+    return walk, lambda values: [item.write(value) for value in sorted(values, key=order)]
+
+
 class _Parser:
     """Accumulates located diagnostics while walking the document tree.
+
+    :meth:`_Kind.walk` reads each object from its kind's table (below the
+    class).  The methods here are the walkers the tables name: shapes, and
+    each kind's cross-references (ids, widths, overrides, map totality,
+    mechanism prerequisites).
 
     A document repeats a few distinct literals and vectors many times, and
     its interaction records repeat whole scenarios (a believed world equal
@@ -244,12 +422,12 @@ class _Parser:
     def failed(self) -> bool:
         return any(d.severity == "error" for d in self.diagnostics)
 
-    # -- generic shape helpers --------------------------------------------
+    # -- shape walkers -----------------------------------------------------
+    #
+    # Each has the signature of a field walker, so a table can name it.
 
     def mistyped(self, value, path, expected: str) -> None:
-        """Diagnose a value of the wrong JSON kind (``_MISSING`` already was)."""
-        if value is not _MISSING:
-            self.error(path, f"expected {expected}, got {json_kind(value)}")
+        self.error(path, f"expected {expected}, got {json_kind(value)}")
 
     def obj(self, value, path) -> Optional[dict]:
         return value if isinstance(value, dict) else self.mistyped(value, path, "an object")
@@ -257,24 +435,27 @@ class _Parser:
     def array(self, value, path) -> Optional[list]:
         return value if isinstance(value, list) else self.mistyped(value, path, "an array")
 
-    def string(self, value, path) -> Optional[str]:
+    def string(self, value, path, ctx=None, got=None) -> Optional[str]:
         if not isinstance(value, str) or not value:
-            if value is not _MISSING:
-                self.error(path, "expected a non-empty string")
+            self.error(path, "expected a non-empty string")
             return None
         return value
 
-    def boolean(self, value, path) -> Optional[bool]:
+    def boolean(self, value, path, ctx=None, got=None) -> Optional[bool]:
         return value if isinstance(value, bool) else self.mistyped(value, path, "true or false")
 
-    def items(self, value, path, walk, key=None, label="", at="") -> tuple[list, bool]:
-        """Every item of the array ``value``, walked by ``walk(item, item_path)``.
+    def items(
+        self, value, path, walk, ctx=None, key=None, label="", at="", repeat="error"
+    ) -> tuple[list, bool]:
+        """Every item of the array ``value``, walked by ``walk(self, item,
+        item_path, ctx, None)``.
 
         An item the walk returns None for was diagnosed there.  With ``key``,
         an item whose ``key(result)`` repeats an earlier accepted one is
-        diagnosed as ``duplicate {label} {key!r}`` at its path plus ``at``.
-        Returns (accepted results, whether every item was accepted); a value
-        that is not an array gives ``([], False)``.
+        dropped and diagnosed as ``duplicate {label} {key!r}`` at its path
+        plus ``at``: an error, or a warning with ``repeat="warning"``.
+        Returns (accepted results, whether the array and every item were
+        accepted); a value that is not an array gives ``([], False)``.
         """
         arr = self.array(value, path)
         if arr is None:
@@ -284,15 +465,18 @@ class _Parser:
         ok = True
         for i, item in enumerate(arr):
             ipath = f"{path}[{i}]"
-            result = walk(item, ipath)
+            result = walk(self, item, ipath, ctx, None)
             if result is None:
                 ok = False
                 continue
             if key is not None:
                 name = key(result)
                 if name in seen:
-                    self.error(ipath + at, f"duplicate {label} {name!r}")
-                    ok = False
+                    if repeat == "warning":
+                        self.warning(ipath + at, f"duplicate {label} {name!r}")
+                    else:
+                        self.error(ipath + at, f"duplicate {label} {name!r}")
+                        ok = False
                     continue
                 seen.add(name)
             out.append(result)
@@ -343,9 +527,7 @@ class _Parser:
             self.diagnostics += [replace(d, path=path + d.path) for d in hit[1]]
         return hit[0]
 
-    def rational(self, value, path) -> Optional[Fraction]:
-        if value is _MISSING:
-            return None
+    def rational(self, value, path, ctx=None, got=None) -> Optional[Fraction]:
         return self.memo(self._rationals, self._walk_rational, value, path)
 
     def _walk_rational(self, value, path) -> Optional[Fraction]:
@@ -355,25 +537,8 @@ class _Parser:
             self.error(path, str(exc))
             return None
 
-    def require(self, obj: dict, key: str, path: str):
-        if key not in obj:
-            self.error(path, f"missing required field {key!r}")
-            return _MISSING
-        return obj[key]
-
-    def check_fields(self, obj: dict, allowed, path: str) -> None:
-        for key in obj:
-            if key not in allowed:
-                message = (
-                    f"unknown field {key!r}; valid fields: "
-                    + ", ".join(sorted(allowed))
-                )
-                if self.lenient:
-                    self.warning(path, message)
-                else:
-                    self.error(path, message)
-
-    def rational_vector(self, value, path, length=None) -> Optional[tuple]:
+    def rational_vector(self, value, path, length=None, got=None) -> Optional[tuple]:
+        """A vector of rationals; ``length``, where given, is its width."""
         arr = self.array(value, path)
         if arr is None:
             return None
@@ -384,7 +549,7 @@ class _Parser:
         return out
 
     def _walk_vector(self, arr: list, path) -> Optional[tuple]:
-        values, ok = self.items(arr, path, self.rational)
+        values, ok = self.items(arr, path, _Parser.rational)
         return tuple(values) if ok else None
 
     def value_key(self, values: tuple) -> tuple[int, ...]:
@@ -399,7 +564,7 @@ class _Parser:
             hit = self._value_keys[id(values)] = (values, value_key_of(values))
         return hit[1]
 
-    def named_rationals(self, value, path) -> Optional[dict]:
+    def named_rationals(self, value, path, ctx=None, got=None) -> Optional[dict]:
         obj = self.obj(value, path)
         if obj is None:
             return None
@@ -413,10 +578,16 @@ class _Parser:
                 out[name] = rat
         return out if ok else None
 
+    def ids(self, value, path, ctx=None, got=None) -> Optional[tuple[str, ...]]:
+        out, ok = self.items(value, path, _Parser.string, None, str, "id")
+        return tuple(sorted(out)) if ok else None
+
     # -- schemas -----------------------------------------------------------
 
-    def dimension_list(self, value, path) -> Optional[tuple[Dimension, ...]]:
-        dims, ok = self.items(value, path, self.dimension, attrgetter("name"), "dimension name")
+    def dimensions(self, value, path, ctx=None, got=None) -> Optional[tuple[Dimension, ...]]:
+        dims, ok = self.items(
+            value, path, _DIMENSION.walk, None, attrgetter("name"), "dimension name"
+        )
         if not ok:
             return None
         if not dims:
@@ -424,577 +595,215 @@ class _Parser:
             return None
         return tuple(dims)
 
-    def dimension(self, item, path) -> Optional[Dimension]:
-        obj = self.obj(item, path)
-        if obj is None:
-            return None
-        self.check_fields(obj, {"name", "description"}, path)
-        name = self.string(self.require(obj, "name", path), f"{path}.name")
-        if name is None:
-            return None
-        description = obj.get("description", "")
-        if not isinstance(description, str):
-            self.error(f"{path}.description", "expected a string")
-            description = ""
-        return Dimension(name=name, description=description)
+    def description(self, value, path, ctx=None, got=None) -> Optional[str]:
+        if isinstance(value, str):
+            return value
+        self.error(path, "expected a string")
+        return None
 
     # -- scenario ----------------------------------------------------------
 
-    SCENARIO_FIELDS = {
-        "agent_id",
-        "schemas",
-        "resource_schema",
-        "resources",
-        "characteristics",
-        "social",
-        "functionings",
-        "utilization",
-        "maps",
-        "theta",
-        "theta_p",
-    }
+    def scenario(self, value, path, ctx=None, got=None) -> Optional[Scenario]:
+        if not isinstance(value, dict):
+            return self.mistyped(value, path, "an object")
+        walk = partial(_SCENARIO.walk, self)
+        return self.memo(self._scenarios, walk, value, path, self._scenario_objects)
 
-    def scenario(self, value, path) -> Optional[Scenario]:
-        obj = self.obj(value, path)
-        if obj is None:
-            return None
-        return self.memo(
-            self._scenarios, self._walk_scenario, obj, path, self._scenario_objects
+    def catalog(self, value, path, ctx, got) -> Optional[tuple[FunctioningVector, ...]]:
+        """The functionings in document order, the order the maps report in.
+        The walk ends here if they or the resources failed: patterns use both."""
+        functionings, ok = self.items(
+            value, path, _FUNCTIONING.walk, len(got["schemas"]["B"]), _ID, "functioning id"
         )
+        return tuple(functionings) if ok and got["resources"] is not None else None
 
-    def _walk_scenario(self, obj: dict, path) -> Optional[Scenario]:
-        self.check_fields(obj, self.SCENARIO_FIELDS, path)
+    def maps(self, value, path, ctx, got) -> Optional[dict]:
+        fvs = got["functionings"]
+        catalog = (got["schemas"], fvs, {fv.id for fv in fvs}, _equal_value_pairs(fvs))
+        return _MAPS.walk(self, value, path, catalog)
 
-        agent_id = self.string(
-            self.require(obj, "agent_id", path), f"{path}.agent_id"
-        )
-
-        schemas_obj = self.obj(self.require(obj, "schemas", path), f"{path}.schemas")
-        schemas: dict[str, DimensionSchema] = {}
-        if schemas_obj is not None:
-            self.check_fields(schemas_obj, {"B", "E", "P", "U"}, f"{path}.schemas")
-            for space in ("B", "E", "P"):
-                if space not in schemas_obj:
-                    self.error(f"{path}.schemas", f"missing required schema {space!r}")
-                    continue
-                dims = self.dimension_list(schemas_obj[space], f"{path}.schemas.{space}")
-                if dims is not None:
-                    schemas[space] = DimensionSchema(space_id=space, dims=dims)
-            if "U" in schemas_obj:
-                dims = self.dimension_list(schemas_obj["U"], f"{path}.schemas.U")
-                if dims is not None:
-                    schemas["U"] = DimensionSchema(space_id="U", dims=dims)
-        if not all(space in schemas for space in ("B", "E", "P")):
-            return None
-
-        resource_schema = self.dimension_list(
-            self.require(obj, "resource_schema", path), f"{path}.resource_schema"
-        )
-        if resource_schema is None:
-            return None
-
-        resources = self.resource_list(
-        obj.get("resources", []), f"{path}.resources", len(resource_schema)
-        )
-
-        characteristics = self.named_rationals(
-            obj.get("characteristics", {}), f"{path}.characteristics"
-        )
-        social = self.named_rationals(obj.get("social", {}), f"{path}.social")
-
-        functionings = self.functioning_list(
-            obj.get("functionings", []), f"{path}.functionings", len(schemas["B"])
-        )
-        if functionings is None or resources is None:
-            return None
-        fv_ids = {fv.id for fv in functionings}
-
-        utilization = self.utilization_list(
-            obj.get("utilization", []),
-            f"{path}.utilization",
-            {res.id for res in resources},
-            fv_ids,
-            characteristics or {},
-            social or {},
-        )
-
-        maps = self.maps_obj(
-            self.require(obj, "maps", path), f"{path}.maps", schemas, functionings, fv_ids
-        )
-
-        theta = self.rational_vector(
-            self.require(obj, "theta", path), f"{path}.theta", len(schemas["E"])
-        )
-        theta_p = None
-        if "theta_p" in obj:
-            theta_p = self.rational_vector(
-                obj["theta_p"], f"{path}.theta_p", len(schemas["P"])
-            )
-
-        if (
-            agent_id is None
-            or characteristics is None
-            or social is None
-            or utilization is None
-            or maps is None
-            or theta is None
-        ):
-            return None
-
+    def finish_scenario(self, got, path, ctx) -> Scenario:
         # Orphan warning: catalog entries no pattern outputs, unless flagged.
-        outputs = {entry.output for entry in utilization}
-        for fv in functionings:
+        outputs = {entry.output for entry in got["utilization"]}
+        for fv in got["functionings"]:
             if fv.id not in outputs and not fv.unreachable:
                 self.warning(
                     f"{path}.functionings",
                     f"functioning {fv.id!r} is not the output of any utilization "
                     "pattern; flag it \"unreachable\" if that is intended",
                 )
+        got["functionings"] = tuple(sorted(got["functionings"], key=_ID))
+        return Scenario(**got)
 
-        return Scenario(
-            agent_id=agent_id,
-            schemas=schemas,
-            resource_schema=resource_schema,
-            resources=tuple(sorted(resources, key=lambda r: r.id)),
-            characteristics=characteristics,
-            social=social,
-            functionings=tuple(sorted(functionings, key=lambda f: f.id)),
-            utilization=tuple(sorted(utilization, key=lambda u: u.pattern_id)),
-            maps=maps,
-            theta=ThresholdVector(values=theta),
-            theta_p=ThresholdVector(values=theta_p) if theta_p is not None else None,
-        )
-
-    def resource_list(self, value, path, width) -> Optional[list[ResourceVector]]:
-        out, ok = self.items(
-            value,
-            path,
-            lambda item, p: self.resource(item, p, width),
-            attrgetter("id"),
-            "resource id",
-        )
-        return out if ok else None
-
-    def resource(self, item, path, width) -> Optional[ResourceVector]:
-        obj = self.obj(item, path)
-        if obj is None:
-            return None
-        self.check_fields(obj, {"id", "values"}, path)
-        rid = self.string(self.require(obj, "id", path), f"{path}.id")
-        values = self.rational_vector(
-            self.require(obj, "values", path), f"{path}.values", width
-        )
-        if rid is None or values is None:
-            return None
-        return ResourceVector(id=rid, values=values)
-
-    def functioning_list(self, value, path, width) -> Optional[list[FunctioningVector]]:
-        out, ok = self.items(
-            value,
-            path,
-            lambda item, p: self.functioning(item, p, width),
-            attrgetter("id"),
-            "functioning id",
-        )
-        return out if ok else None
-
-    def functioning(self, item, path, width) -> Optional[FunctioningVector]:
-        obj = self.obj(item, path)
-        if obj is None:
-            return None
-        self.check_fields(obj, {"id", "values", "unreachable"}, path)
-        fid = self.string(self.require(obj, "id", path), f"{path}.id")
-        values = self.rational_vector(
-            self.require(obj, "values", path), f"{path}.values", width
-        )
-        unreachable = False
-        if "unreachable" in obj:
-            flag = self.boolean(obj["unreachable"], f"{path}.unreachable")
-            unreachable = bool(flag)
-        if fid is None or values is None:
-            return None
-        return FunctioningVector(
-            id=fid, values=values, unreachable=unreachable, value_key=self.value_key(values)
-        )
-
-    def guard_list(self, value, path, characteristics, social) -> Optional[tuple]:
-        out, ok = self.items(
-            value, path, lambda item, p: self.guard(item, p, characteristics, social)
-        )
-        if not ok:
-            return None
-        return tuple(sorted(out, key=lambda g: (g.context, g.component, g.min)))
-
-    def guard(self, item, path, characteristics, social) -> Optional[Guard]:
-        obj = self.obj(item, path)
-        if obj is None:
-            return None
-        self.check_fields(obj, {"context", "component", "min"}, path)
-        context = self.string(self.require(obj, "context", path), f"{path}.context")
-        component = self.string(self.require(obj, "component", path), f"{path}.component")
-        minimum = self.rational(self.require(obj, "min", path), f"{path}.min")
-        if context is None or component is None or minimum is None:
-            return None
+    def finish_guard(self, got, path, uses: _Uses) -> Optional[Guard]:
+        context, component = got["context"], got["component"]
         if context not in GUARD_CONTEXTS:
             self.error(
-                f"{path}.context",
-                f"guard context must be one of {', '.join(GUARD_CONTEXTS)}",
+                f"{path}.context", f"guard context must be one of {', '.join(GUARD_CONTEXTS)}"
             )
             return None
-        vector = characteristics if context == "characteristics" else social
+        vector = uses.characteristics if context == "characteristics" else uses.social
         if component not in vector:
             self.error(f"{path}.component", f"unknown {context} component {component!r}")
             return None
-        return Guard(context=context, component=component, min=minimum)
+        return Guard(**got)
 
-    def utilization_entry(
-        self, item, path, resource_ids, fv_ids, characteristics, social
-    ) -> Optional[UtilizationEntry]:
-        """One pattern; ``resource_ids`` None skips the resource check."""
-        obj = self.obj(item, path)
-        if obj is None:
-            return None
-        self.check_fields(
-            obj, {"pattern_id", "resource_id", "guards", "output"}, path
-        )
-        pid = self.string(self.require(obj, "pattern_id", path), f"{path}.pattern_id")
-        rid = self.string(self.require(obj, "resource_id", path), f"{path}.resource_id")
-        output = self.string(self.require(obj, "output", path), f"{path}.output")
-        guards = self.guard_list(
-            obj.get("guards", []), f"{path}.guards", characteristics, social
-        )
-        if pid is None or rid is None or output is None or guards is None:
-            return None
-        if resource_ids is not None and rid not in resource_ids:
+    def finish_utilization(self, got, path, uses: _Uses) -> Optional[UtilizationEntry]:
+        rid, output = got["resource_id"], got["output"]
+        if uses.resource_ids is not None and rid not in uses.resource_ids:
             self.error(f"{path}.resource_id", f"unknown resource id {rid!r}")
             return None
-        if output not in fv_ids:
+        if output not in uses.fv_ids:
             self.error(f"{path}.output", f"unknown functioning id {output!r}")
             return None
-        return UtilizationEntry(
-            pattern_id=pid, resource_id=rid, guards=guards, output=output
-        )
-
-    def utilization_list(
-        self, value, path, resource_ids, fv_ids, characteristics, social
-    ) -> Optional[list[UtilizationEntry]]:
-        """``fv_ids`` is any container of the catalog's functioning ids."""
-        out, ok = self.items(
-            value,
-            path,
-            lambda item, p: self.utilization_entry(
-                item, p, resource_ids, fv_ids, characteristics, social
-            ),
-            attrgetter("pattern_id"),
-            "pattern id",
-        )
-        return out if ok else None
+        return UtilizationEntry(**got)
 
     # -- valuation maps ----------------------------------------------------
 
-    def maps_obj(self, value, path, schemas, functionings, fv_ids) -> Optional[dict]:
+    def codomain_map(self, value, path, catalog, got, map_id) -> Optional[ValuationMap]:
+        """Map ``map_id`` over a catalog: (schemas, functionings, their ids,
+        the pairs of them with equal values)."""
+        schemas, functionings, fv_ids, same_values = catalog
+        space = _CODOMAINS[map_id]
+        if space not in schemas:
+            self.error(path, f"map {map_id!r} needs schema {space!r}, which is not declared")
+            return None
+        context = _MapContext(
+            map_id, len(schemas[space]), len(schemas["B"]), functionings, fv_ids, same_values
+        )
+        return self.valuation_map(value, path, context)
+
+    def valuation_map(self, value, path, ctx: _MapContext) -> Optional[ValuationMap]:
+        """A map walked by the table of its form; while the form is missing
+        or invalid, by the table of both forms."""
+        form = value.get("form") if isinstance(value, dict) else None
+        kind = _MAP_FORMS.get(form, _ANY_MAP) if type(form) is str else _ANY_MAP
+        return kind.walk(self, value, path, ctx)
+
+    def map_form(self, value, path, ctx=None, got=None) -> Optional[str]:
+        form = self.string(value, path)
+        if form is not None and form not in _MAP_FORMS:
+            self.error(path, "valuation map form must be 'table' or 'linear'")
+            return None
+        return form
+
+    def entries(self, value, path, ctx: _MapContext, got=None) -> Optional[dict]:
         obj = self.obj(value, path)
         if obj is None:
             return None
-        self.check_fields(obj, {"v", "r", "u"}, path)
-        out = {}
+        entries = {}
         ok = True
-        codomains = {"v": "P", "r": "E", "u": "U"}
-        same_values = _equal_value_pairs(functionings)
-        for map_id in ("v", "r", "u"):
-            if map_id not in obj:
-                if map_id == "u":
-                    continue  # optional; falls back to v
-                self.error(path, f"missing required valuation map {map_id!r}")
+        for fid, raw in obj.items():
+            epath = f"{path}.{fid}"
+            if fid not in ctx.fv_ids:
+                self.error(epath, f"entry for unknown functioning {fid!r}")
                 ok = False
                 continue
-            space = codomains[map_id]
-            if space not in schemas:
+            vec = self.rational_vector(raw, epath, ctx.codomain_len)
+            if vec is None:
+                ok = False
+                continue
+            entries[fid] = vec
+        for fv in ctx.functionings:
+            if fv.id not in obj:
                 self.error(
-                    f"{path}.{map_id}",
-                    f"map {map_id!r} needs schema {space!r}, which is not declared",
+                    path, f"map {ctx.map_id!r} is not total: no entry for functioning {fv.id!r}"
                 )
                 ok = False
-                continue
-            parsed = self.valuation_map(
-                obj[map_id],
-                f"{path}.{map_id}",
-                map_id,
-                len(schemas[space]),
-                len(schemas["B"]),
-                functionings,
-                fv_ids,
-                same_values,
-            )
-            if parsed is None:
+        if not ok:
+            return None
+        for prior, fid in ctx.same_values:
+            if entries[prior] != entries[fid]:
+                self.error(
+                    path,
+                    f"functionings {prior!r} and {fid!r} have equal values "
+                    f"but different {ctx.map_id!r} images",
+                )
                 ok = False
-            else:
-                out[map_id] = parsed
-        return out if ok else None
+        return entries if ok else None
 
-    def valuation_map(
-        self, value, path, map_id, codomain_len, domain_len, functionings, fv_ids, same_values
-    ) -> Optional[ValuationMap]:
-        """``fv_ids`` holds the ids of ``functionings``.  ``same_values`` is
-        ``_equal_value_pairs(functionings)``: a table must give each such pair
-        equal images, or the map is not a function of the functioning itself."""
-        obj = self.obj(value, path)
-        if obj is None:
+    def matrix(self, value, path, ctx: _MapContext, got=None) -> Optional[tuple]:
+        arr = self.array(value, path)
+        if arr is None:
             return None
-        self.check_fields(obj, {"form", "entries", "matrix"}, path)
-        form = self.string(self.require(obj, "form", path), f"{path}.form")
-        if form is None:
+        if len(arr) != ctx.codomain_len:
+            self.error(path, f"expected {ctx.codomain_len} rows, got {len(arr)}")
             return None
-        if form == "table":
-            entries_obj = self.obj(
-                self.require(obj, "entries", path), f"{path}.entries"
-            )
-            if entries_obj is None:
-                return None
-            entries = {}
-            ok = True
-            for fid, raw in entries_obj.items():
-                epath = f"{path}.entries.{fid}"
-                if fid not in fv_ids:
-                    self.error(epath, f"entry for unknown functioning {fid!r}")
-                    ok = False
-                    continue
-                vec = self.rational_vector(raw, epath, codomain_len)
-                if vec is None:
-                    ok = False
-                    continue
-                entries[fid] = vec
-            for fv in functionings:
-                if fv.id not in entries_obj:
-                    self.error(
-                        f"{path}.entries",
-                        f"map {map_id!r} is not total: no entry for "
-                        f"functioning {fv.id!r}",
-                    )
-                    ok = False
-            if not ok:
-                return None
-            for prior, fid in same_values:
-                if entries[prior] != entries[fid]:
-                    self.error(
-                        f"{path}.entries",
-                        f"functionings {prior!r} and {fid!r} have equal values "
-                        f"but different {map_id!r} images",
-                    )
-                    ok = False
-            if not ok:
-                return None
-            return ValuationMap(map_id=map_id, form="table", entries=entries)
-        if form == "linear":
-            matrix_arr = self.array(
-                self.require(obj, "matrix", path), f"{path}.matrix"
-            )
-            if matrix_arr is None:
-                return None
-            if len(matrix_arr) != codomain_len:
+        rows, ok = self.items(arr, path, _Parser.rational_vector, ctx.domain_len)
+        return tuple(rows) if ok else None
+
+    def finish_linear(self, got, path, ctx: _MapContext) -> Optional[ValuationMap]:
+        linear = ValuationMap(map_id=ctx.map_id, form="linear", matrix=got["matrix"])
+        # Reports print images, so each must print within the digit limit;
+        # the map keeps them, so no image is computed twice.
+        for fv in ctx.functionings:
+            if any(exceeds_digit_limit(x) for x in linear.apply(fv)):
                 self.error(
                     f"{path}.matrix",
-                    f"expected {codomain_len} rows, got {len(matrix_arr)}",
+                    f"map {ctx.map_id!r} gives functioning {fv.id!r} an image whose "
+                    "numerator or denominator would exceed "
+                    f"{sys.get_int_max_str_digits()} digits",
                 )
                 return None
-            rows, ok = self.items(
-                matrix_arr,
-                f"{path}.matrix",
-                lambda raw_row, p: self.rational_vector(raw_row, p, domain_len),
-            )
-            if not ok:
-                return None
-            linear = ValuationMap(map_id=map_id, form="linear", matrix=tuple(rows))
-            # Reports print images, so each must print within the digit limit;
-            # the map keeps them, so no image is computed twice.
-            for fv in functionings:
-                if any(exceeds_digit_limit(x) for x in linear.apply(fv)):
-                    self.error(
-                        f"{path}.matrix",
-                        f"map {map_id!r} gives functioning {fv.id!r} an image whose "
-                        "numerator or denominator would exceed "
-                        f"{sys.get_int_max_str_digits()} digits",
-                    )
-                    return None
-            return linear
-        self.error(f"{path}.form", "valuation map form must be 'table' or 'linear'")
-        return None
+        return linear
 
     # -- interactions ------------------------------------------------------
 
-    RECORD_FIELDS = {
-        "id",
-        "actor_id",
-        "target",
-        "deltas",
-        "intent",
-        "mechanisms",
-        "actor_has_right",
-        "communication_feasible",
-        "proportionality_ok",
-        "unfair_terms",
-        "promoted_outcome",
-        "actor_estimate_of_target_values",
-        "believed_scenario",
-        "threat_scenario",
-    }
-
-    def interaction(self, item, path, scenario: Scenario) -> Optional[InteractionRecord]:
-        obj = self.obj(item, path)
-        if obj is None:
-            return None
-        self.check_fields(obj, self.RECORD_FIELDS, path)
-        rec_id = self.string(self.require(obj, "id", path), f"{path}.id")
-        actor_id = self.string(self.require(obj, "actor_id", path), f"{path}.actor_id")
-        target = self.string(self.require(obj, "target", path), f"{path}.target")
+    def target(self, value, path, scenario: Scenario, got=None) -> Optional[str]:
+        target = self.string(value, path)
         if target is not None and target != scenario.agent_id:
             self.error(
-                f"{path}.target",
+                path,
                 f"interaction targets {target!r} but the scenario describes "
                 f"agent {scenario.agent_id!r}",
             )
-            target = None
-
-        intent = self.string(self.require(obj, "intent", path), f"{path}.intent")
-        if intent is not None and intent not in INTENTS:
-            self.error(
-                f"{path}.intent",
-                f"unknown intent {intent!r}; valid intents: {', '.join(INTENTS)}",
-            )
-            intent = None
-
-        mechanisms = None
-        mech_arr = self.array(self.require(obj, "mechanisms", path), f"{path}.mechanisms")
-        if mech_arr is not None:
-            mechanisms = []
-            for i, mech in enumerate(mech_arr):
-                name = self.string(mech, f"{path}.mechanisms[{i}]")
-                if name is None:
-                    mechanisms = None
-                    break
-                if name not in MECHANISMS:
-                    self.error(
-                        f"{path}.mechanisms[{i}]",
-                        f"unknown mechanism {name!r}; valid mechanisms: "
-                        + ", ".join(MECHANISMS),
-                    )
-                    mechanisms = None
-                    break
-                if name in mechanisms:
-                    self.warning(
-                        f"{path}.mechanisms[{i}]", f"duplicate mechanism {name!r}"
-                    )
-                    continue
-                mechanisms.append(name)
-
-        actor_has_right = self.boolean(
-            self.require(obj, "actor_has_right", path), f"{path}.actor_has_right"
-        )
-        communication_feasible = self.boolean(
-            self.require(obj, "communication_feasible", path),
-            f"{path}.communication_feasible",
-        )
-        proportionality_ok = self.boolean(
-            self.require(obj, "proportionality_ok", path),
-            f"{path}.proportionality_ok",
-        )
-        unfair_terms = False
-        if "unfair_terms" in obj:
-            flag = self.boolean(obj["unfair_terms"], f"{path}.unfair_terms")
-            unfair_terms = bool(flag)
-
-        promoted_outcome = None
-        if "promoted_outcome" in obj:
-            promoted_outcome = self.string(
-                obj["promoted_outcome"], f"{path}.promoted_outcome"
-            )
-            if promoted_outcome is not None and not scenario.has_functioning(
-                promoted_outcome
-            ):
-                self.error(
-                    f"{path}.promoted_outcome",
-                    f"unknown functioning id {promoted_outcome!r}",
-                )
-                promoted_outcome = None
-
-        deltas = self.deltas(
-            self.require(obj, "deltas", path), f"{path}.deltas", scenario
-        )
-
-        estimate = None
-        if "actor_estimate_of_target_values" in obj:
-            estimate = self.valuation_map(
-                obj["actor_estimate_of_target_values"],
-                f"{path}.actor_estimate_of_target_values",
-                "v",
-                len(scenario.schemas["P"]),
-                len(scenario.schemas["B"]),
-                scenario.functionings,
-                scenario._fv_by_id,  # the main scenario's id index
-                _equal_value_pairs(scenario.functionings),
-            )
-
-        believed = None
-        if "believed_scenario" in obj:
-            believed = self.scenario(
-                obj["believed_scenario"], f"{path}.believed_scenario"
-            )
-            if believed is not None:
-                self.check_override(believed, scenario, f"{path}.believed_scenario")
-        threat = None
-        if "threat_scenario" in obj:
-            threat = self.scenario(obj["threat_scenario"], f"{path}.threat_scenario")
-            if threat is not None:
-                self.check_override(threat, scenario, f"{path}.threat_scenario")
-                if ("u" in scenario.maps) != ("u" in threat.maps):
-                    self.error(
-                        f"{path}.threat_scenario.maps",
-                        "threat scenario must declare the transient valuation "
-                        "'u' exactly when the main scenario does",
-                    )
-
-        if "threat" in (mechanisms or ()) and threat is None and "threat_scenario" not in obj:
-            self.error(
-                path,
-                "record declares a 'threat' mechanism but no threat_scenario",
-            )
-        declared_info = {"information_filtering", "misrepresentation"}.intersection(
-            mechanisms or ()
-        )
-        if declared_info and believed is None and "believed_scenario" not in obj:
-            self.error(
-                path,
-                f"record declares {sorted(declared_info)} but no believed_scenario",
-            )
-
-        if (
-            rec_id is None
-            or actor_id is None
-            or target is None
-            or intent is None
-            or mechanisms is None
-            or actor_has_right is None
-            or communication_feasible is None
-            or proportionality_ok is None
-            or deltas is None
-        ):
             return None
-        return InteractionRecord(
-            id=rec_id,
-            actor_id=actor_id,
-            target=target,
-            deltas=deltas,
-            intent=intent,
-            mechanisms=tuple(mechanisms),
-            actor_has_right=actor_has_right,
-            communication_feasible=communication_feasible,
-            proportionality_ok=proportionality_ok,
-            unfair_terms=unfair_terms,
-            promoted_outcome=promoted_outcome,
-            actor_estimate_of_target_values=estimate,
-            believed_scenario=believed,
-            threat_scenario=threat,
+        return target
+
+    def listed(self, value, path, names, what: str) -> Optional[str]:
+        """One of ``names``; any other string is an unknown ``what``."""
+        name = self.string(value, path)
+        if name is not None and name not in names:
+            self.error(path, f"unknown {what} {name!r}; valid {what}s: {', '.join(names)}")
+            return None
+        return name
+
+    def mechanism(self, value, path, ctx=None, got=None) -> Optional[str]:
+        return self.listed(value, path, MECHANISMS, "mechanism")
+
+    def mechanisms(self, value, path, ctx=None, got=None) -> Optional[tuple[str, ...]]:
+        out, ok = self.items(
+            value, path, _Parser.mechanism, key=str, label="mechanism", repeat="warning"
         )
+        return tuple(out) if ok else None
+
+    def outcome(self, value, path, scenario: Scenario, got=None) -> Optional[str]:
+        outcome = self.string(value, path)
+        if outcome is not None and not scenario.has_functioning(outcome):
+            self.error(path, f"unknown functioning id {outcome!r}")
+            return None
+        return outcome
+
+    def estimate(self, value, path, s: Scenario, got=None) -> Optional[ValuationMap]:
+        """The actor's estimate of the target's ``v``, over the main catalog."""
+        catalog = (s.schemas, s.functionings, s._fv_by_id, _equal_value_pairs(s.functionings))
+        return self.codomain_map(value, path, catalog, None, "v")
+
+    def believed(self, value, path, main: Scenario, got=None) -> Optional[Scenario]:
+        override = self.scenario(value, path)
+        if override is not None:
+            self.check_override(override, main, path)
+        return override
+
+    def threat(self, value, path, main: Scenario, got=None) -> Optional[Scenario]:
+        override = self.believed(value, path, main)
+        if override is not None and ("u" in main.maps) != ("u" in override.maps):
+            self.error(
+                f"{path}.maps",
+                "threat scenario must declare the transient valuation "
+                "'u' exactly when the main scenario does",
+            )
+        return override
 
     def check_override(self, override: Scenario, main: Scenario, path: str) -> None:
         """Counterfactual scenarios must stay comparable with the main one."""
@@ -1020,84 +829,18 @@ class _Parser:
                 f"describes {main.agent_id!r}",
             )
 
-    DELTA_FIELDS = {
-        "resources_added",
-        "resources_removed",
-        "characteristics_delta",
-        "social_delta",
-        "utilization_added",
-        "utilization_removed",
-    }
+    def prerequisites(self, raw, got, path, scenario) -> None:
+        """A declared mechanism needs the counterfactual it is judged on."""
+        mechanisms = got["mechanisms"] or ()
+        if "threat" in mechanisms and "threat_scenario" not in raw:
+            self.error(path, "record declares a 'threat' mechanism but no threat_scenario")
+        declared_info = {"information_filtering", "misrepresentation"}.intersection(mechanisms)
+        if declared_info and "believed_scenario" not in raw:
+            self.error(path, f"record declares {sorted(declared_info)} but no believed_scenario")
 
-    def deltas(self, value, path, scenario: Scenario) -> Optional[InteractionDeltas]:
-        obj = self.obj(value, path)
-        if obj is None:
-            return None
-        self.check_fields(obj, self.DELTA_FIELDS, path)
-
-        resources_added = self.resource_list(
-            obj.get("resources_added", []),
-            f"{path}.resources_added",
-            len(scenario.resource_schema),
-        )
-
-        resources_removed = self.id_list(
-            obj.get("resources_removed", []), f"{path}.resources_removed"
-        )
-        utilization_removed = self.id_list(
-            obj.get("utilization_removed", []), f"{path}.utilization_removed"
-        )
-
-        characteristics_delta = self.context_delta(
-            obj.get("characteristics_delta", {}),
-            f"{path}.characteristics_delta",
-            scenario.characteristics,
-            "characteristic",
-        )
-        social_delta = self.context_delta(
-            obj.get("social_delta", {}),
-            f"{path}.social_delta",
-            scenario.social,
-            "social component",
-        )
-
-        # Resource presence for added entries depends on the evolving state
-        # (earlier trace steps may add the resource), so it is checked at
-        # application time; outputs and guard components are static.
-        added_entries = self.utilization_list(
-            obj.get("utilization_added", []),
-            f"{path}.utilization_added",
-            None,
-            scenario._fv_by_id,  # the main scenario's id index
-            scenario.characteristics,
-            scenario.social,
-        )
-
-        if (
-            resources_added is None
-            or resources_removed is None
-            or utilization_removed is None
-            or characteristics_delta is None
-            or social_delta is None
-            or added_entries is None
-        ):
-            return None
-        return InteractionDeltas(
-            resources_added=tuple(sorted(resources_added, key=lambda r: r.id)),
-            resources_removed=tuple(sorted(resources_removed)),
-            characteristics_delta=characteristics_delta,
-            social_delta=social_delta,
-            utilization_added=tuple(
-                sorted(added_entries, key=lambda u: u.pattern_id)
-            ),
-            utilization_removed=tuple(sorted(utilization_removed)),
-        )
-
-    def id_list(self, value, path) -> Optional[tuple[str, ...]]:
-        out, ok = self.items(value, path, self.string, str, "id")
-        return tuple(out) if ok else None
-
-    def context_delta(self, value, path, base, label) -> Optional[dict]:
+    def offsets(self, value, path, s: Scenario, got, context: str, label: str) -> Optional[dict]:
+        """Offsets to the named components of the main scenario's ``context``."""
+        base = getattr(s, context)
         offsets = self.named_rationals(value, path)
         if offsets is None:
             return None
@@ -1110,41 +853,254 @@ class _Parser:
 
     # -- traces ------------------------------------------------------------
 
-    def trace(self, item, path, record_ids, scenario: Scenario) -> Optional[Trace]:
-        obj = self.obj(item, path)
-        if obj is None:
-            return None
-        self.check_fields(obj, {"id", "steps"}, path)
-        trace_id = self.string(self.require(obj, "id", path), f"{path}.id")
-        arr = self.array(self.require(obj, "steps", path), f"{path}.steps")
-        if trace_id is None or arr is None:
+    def steps(self, value, path, refs, got) -> Optional[tuple[TraceStep, ...]]:
+        """The steps, given (ids of the records that parsed, the scenario)."""
+        arr = self.array(value, path)
+        if arr is None or got["id"] is None:
             return None
         if not arr:
-            self.error(f"{path}.steps", "a trace needs at least one step")
+            self.error(path, "a trace needs at least one step")
             return None
-        steps, ok = self.items(
-            arr, f"{path}.steps", lambda raw, p: self.trace_step(raw, p, record_ids, scenario)
-        )
-        return Trace(id=trace_id, steps=tuple(steps)) if ok else None
+        steps, ok = self.items(arr, path, _STEP.walk, refs)
+        return tuple(steps) if ok else None
 
-    def trace_step(self, raw, path, record_ids, scenario: Scenario) -> Optional[TraceStep]:
-        obj = self.obj(raw, path)
-        if obj is None:
+    def finish_step(self, got, path, refs) -> Optional[TraceStep]:
+        record_ids, scenario = refs
+        if got["interaction"] not in record_ids:
+            self.error(f"{path}.interaction", f"unknown interaction id {got['interaction']!r}")
             return None
-        self.check_fields(obj, {"interaction", "target_choice", "actor_desired"}, path)
-        rec_id = self.string(self.require(obj, "interaction", path), f"{path}.interaction")
-        choice = self.string(self.require(obj, "target_choice", path), f"{path}.target_choice")
-        desired = self.string(self.require(obj, "actor_desired", path), f"{path}.actor_desired")
-        if rec_id is None or choice is None or desired is None:
-            return None
-        if rec_id not in record_ids:
-            self.error(f"{path}.interaction", f"unknown interaction id {rec_id!r}")
-            return None
-        for label, fid in (("target_choice", choice), ("actor_desired", desired)):
-            if not scenario.has_functioning(fid):
-                self.error(f"{path}.{label}", f"unknown functioning id {fid!r}")
+        for label in ("target_choice", "actor_desired"):
+            if not scenario.has_functioning(got[label]):
+                self.error(f"{path}.{label}", f"unknown functioning id {got[label]!r}")
                 return None
-        return TraceStep(interaction=rec_id, target_choice=choice, actor_desired=desired)
+        return TraceStep(**got)
+
+    # -- document ----------------------------------------------------------
+
+    def version(self, version, path, ctx=None, got=None) -> Optional[int]:
+        # True == 1 and 1.0 means 1, so the kind comes first: the version is
+        # the JSON integer 1.  Bytes hold a decimal or an over-long integer.
+        kind = _NOT_A_VERSION.get(type(version))
+        if type(version) is bytes and not version.lstrip(b"-").isdigit():
+            kind = "a decimal"
+        if kind is not None:
+            self.error(path, f"format_version must be the integer {FORMAT_VERSION}, not {kind}")
+            return None
+        if version != FORMAT_VERSION:
+            if type(version) is str:
+                shown = _echo(version)
+            else:  # an int, or the bytes of one past the digit limit
+                shown = version.decode() if type(version) is bytes else str(version)
+                if len(shown) > _ECHO_CHARS:
+                    shown = _echo(shown)
+            self.error(
+                path,
+                f"unsupported format_version {shown}; this build reads "
+                f"version {FORMAT_VERSION}",
+            )
+            return None
+        return version
+
+    # Each list keeps the items that parsed, so traces still see the ids of
+    # the records that did.
+
+    def records(self, value, path, ctx, got) -> tuple[InteractionRecord, ...]:
+        records, _ = self.items(
+            value, path, _RECORD.walk, got["scenario"], _ID, "interaction id", ".id"
+        )
+        return tuple(sorted(records, key=_ID))
+
+    def traces(self, value, path, ctx, got) -> tuple[Trace, ...]:
+        refs = ({rec.id for rec in got["interactions"]}, got["scenario"])
+        traces, _ = self.items(value, path, _TRACE.walk, refs, _ID, "trace id", ".id")
+        return tuple(sorted(traces, key=_ID))
+
+
+# ---------------------------------------------------------------------------
+# Field tables
+# ---------------------------------------------------------------------------
+
+_TEXT = (_Parser.string, str)
+_FLAG = (_Parser.boolean, bool)
+_VECTOR = (_Parser.rational_vector, _vector)  # ctx: the width
+_RATIONAL = (_Parser.rational, format_rational)
+_RATIONALS = (_Parser.named_rationals, _named)
+_IDS = (_Parser.ids, list)
+
+
+def _threshold(space: str) -> tuple[Callable, Callable]:
+    """(walk, write) of a scenario's threshold over ``space``."""
+
+    def walk(p, raw, path, ctx, got):
+        values = p.rational_vector(raw, path, len(got["schemas"][space]))
+        return ThresholdVector(values=values) if values is not None else None
+
+    return walk, lambda threshold: _vector(threshold.values)
+
+
+def _offsets(context: str, label: str) -> tuple[Callable, Callable]:
+    """(walk, write) of a record's offsets to the main scenario's ``context``."""
+    return partial(_Parser.offsets, context=context, label=label), _named
+
+
+def _write_map(m: ValuationMap) -> dict:
+    return _MAP_FORMS[m.form].write(m)
+
+
+# The contexts of a scenario's resources and utilization entries, and of
+# those a record's deltas add to the main scenario ``s``.
+def _resource_width(ctx, got) -> int:
+    return len(got["resource_schema"])
+
+
+def _uses(ctx, got) -> _Uses:
+    resource_ids = {res.id for res in got["resources"]}
+    fv_ids = {fv.id for fv in got["functionings"]}
+    return _Uses(resource_ids, fv_ids, got["characteristics"] or {}, got["social"] or {})
+
+
+def _added_width(s, got) -> int:
+    return len(s.resource_schema)
+
+
+def _added(s, got) -> _Uses:
+    return _Uses(None, s._fv_by_id, s.characteristics, s.social)
+
+
+_DIMENSION = _Kind(
+    (
+        _Row("name", *_TEXT, on_error=_STOP),
+        _Row("description", _Parser.description, str, "", True, _DEFAULT),
+    ),
+    _build(Dimension),
+)
+_DIMENSIONS = (_Parser.dimensions, lambda dims: [_DIMENSION.write(d) for d in dims])
+_SCHEMA = (_Parser.dimensions, lambda schema: [_DIMENSION.write(d) for d in schema.dims])
+_SCHEMAS = _Kind(
+    (*(_Row(space, *_SCHEMA) for space in "BEP"), _Row("U", *_SCHEMA, None, True, _DEFAULT)),
+    lambda p, got, path, ctx: {
+        space: DimensionSchema(space_id=space, dims=dims) for space, dims in got.items() if dims
+    },
+    noun="schema",
+    read=Mapping.get,
+)
+_RESOURCE = _Kind((_Row("id", *_TEXT), _Row("values", *_VECTOR)), _build(ResourceVector))
+_FUNCTIONING = _Kind(
+    (
+        _Row("id", *_TEXT),
+        _Row("values", *_VECTOR),
+        _Row("unreachable", *_FLAG, False, True, _DEFAULT),
+    ),
+    lambda p, got, path, width: FunctioningVector(**got, value_key=p.value_key(got["values"])),
+)
+_GUARD = _Kind(
+    (_Row("context", *_TEXT), _Row("component", *_TEXT), _Row("min", *_RATIONAL)),
+    _Parser.finish_guard,
+)
+_GUARDS = _many(_GUARD, attrgetter("context", "component", "min"))
+_UTILIZATION = _Kind(
+    (
+        _Row("pattern_id", *_TEXT),
+        _Row("resource_id", *_TEXT),
+        _Row("output", *_TEXT),
+        _Row("guards", *_GUARDS, [], True),
+    ),
+    _Parser.finish_utilization,
+)
+_FORM = _Row("form", _Parser.map_form, str, on_error=_STOP)
+_ENTRIES = _Row("entries", _Parser.entries, lambda e: {f: _vector(v) for f, v in e.items()})
+_MATRIX = _Row("matrix", _Parser.matrix, lambda matrix: [_vector(row) for row in matrix])
+_MAP_FORMS = {
+    "table": _Kind(
+        (_FORM, _ENTRIES),
+        lambda p, got, path, ctx: ValuationMap(ctx.map_id, "table", got["entries"]),
+    ),
+    "linear": _Kind((_FORM, _MATRIX), _Parser.finish_linear),
+}
+# Read only while a map's form is missing or invalid, so its form row always
+# ends the walk.
+_ANY_MAP = _Kind((_FORM, _ENTRIES, _MATRIX), None)
+_MAPS = _Kind(
+    (
+        *(_Row(m, partial(_Parser.codomain_map, map_id=m), _write_map) for m in "vr"),
+        _Row("u", partial(_Parser.codomain_map, map_id="u"), _write_map, None, True),
+    ),
+    lambda p, got, path, ctx: {map_id: m for map_id, m in got.items() if m is not None},
+    noun="valuation map",
+    read=Mapping.get,
+)
+_SCENARIO = _Kind(
+    (
+        _Row("agent_id", *_TEXT),
+        _Row("schemas", _SCHEMAS.walk, _SCHEMAS.write, on_error=_STOP),
+        _Row("resource_schema", *_DIMENSIONS, on_error=_STOP),
+        _Row("resources", *_many(_RESOURCE, _ID, "resource id", _resource_width), []),
+        _Row("characteristics", *_RATIONALS, {}),
+        _Row("social", *_RATIONALS, {}),
+        _Row("functionings", _Parser.catalog, _many(_FUNCTIONING, _ID)[1], [], False, _STOP),
+        _Row("utilization", *_many(_UTILIZATION, _PATTERN_ID, "pattern id", _uses), []),
+        _Row("maps", _Parser.maps, _MAPS.write),
+        _Row("theta", *_threshold("E")),
+        _Row("theta_p", *_threshold("P"), None, True, _DEFAULT),
+    ),
+    _Parser.finish_scenario,
+)
+_DELTAS = _Kind(
+    (
+        _Row("resources_added", *_many(_RESOURCE, _ID, "resource id", _added_width), [], True),
+        _Row("resources_removed", *_IDS, [], True),
+        _Row("utilization_removed", *_IDS, [], True),
+        _Row("characteristics_delta", *_offsets("characteristics", "characteristic"), {}, True),
+        _Row("social_delta", *_offsets("social", "social component"), {}, True),
+        # Resource presence for added entries depends on the evolving state
+        # (earlier trace steps may add the resource), so it is checked at
+        # application time; outputs and guard components are static.
+        _Row(
+            "utilization_added", *_many(_UTILIZATION, _PATTERN_ID, "pattern id", _added), [], True
+        ),
+    ),
+    _build(InteractionDeltas),
+)
+_RECORD = _Kind(
+    (
+        _Row("id", *_TEXT),
+        _Row("actor_id", *_TEXT),
+        _Row("target", _Parser.target, str),
+        _Row("intent", lambda p, raw, path, ctx, got: p.listed(raw, path, INTENTS, "intent"), str),
+        _Row("mechanisms", _Parser.mechanisms, list),
+        _Row("actor_has_right", *_FLAG),
+        _Row("communication_feasible", *_FLAG),
+        _Row("proportionality_ok", *_FLAG),
+        _Row("unfair_terms", *_FLAG, False, True, _DEFAULT),
+        _Row("promoted_outcome", _Parser.outcome, str, None, True, _DEFAULT),
+        _Row("deltas", _DELTAS.walk, _DELTAS.write),
+        _Row("actor_estimate_of_target_values", _Parser.estimate, _write_map, None, True, _DEFAULT),
+        _Row("believed_scenario", _Parser.believed, _SCENARIO.write, None, True, _DEFAULT),
+        _Row("threat_scenario", _Parser.threat, _SCENARIO.write, None, True, _DEFAULT),
+    ),
+    _build(InteractionRecord),
+    check=_Parser.prerequisites,
+)
+_STEP = _Kind(
+    (_Row("interaction", *_TEXT), _Row("target_choice", *_TEXT), _Row("actor_desired", *_TEXT)),
+    _Parser.finish_step,
+)
+_TRACE = _Kind(
+    (
+        _Row("id", *_TEXT),
+        _Row("steps", _Parser.steps, lambda steps: [_STEP.write(step) for step in steps]),
+    ),
+    _build(Trace),
+)
+_DOCUMENT = _Kind(
+    (
+        _Row("format_version", _Parser.version, int),
+        _Row("scenario", _Parser.scenario, _SCENARIO.write, on_error=_STOP),
+        _Row("interactions", _Parser.records, _many(_RECORD, _ID)[1], [], True),
+        _Row("traces", _Parser.traces, _many(_TRACE, _ID)[1], [], True),
+    ),
+    lambda p, got, path, ctx: None if p.failed else ScenarioDocument(**got),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1189,64 +1145,7 @@ def parse_document(
         ) from None
 
     p = _Parser(lenient=lenient)
-    obj = p.obj(raw, "$")
-    document = None
-    if obj is not None:
-        p.check_fields(
-            obj, {"format_version", "scenario", "interactions", "traces"}, "$"
-        )
-        version = p.require(obj, "format_version", "$")
-        # True == 1 and 1.0 means 1, so the kind comes first: the version is
-        # the JSON integer 1.  Bytes hold a decimal or an over-long integer.
-        kind = _NOT_A_VERSION.get(type(version))
-        if type(version) is bytes and not version.lstrip(b"-").isdigit():
-            kind = "a decimal"
-        if kind is not None:
-            p.error(
-                "$.format_version",
-                f"format_version must be the integer {FORMAT_VERSION}, not {kind}",
-            )
-        elif version is not _MISSING and version != FORMAT_VERSION:
-            if type(version) is str:
-                shown = _echo(version)
-            else:  # an int, or the bytes of one past the digit limit
-                shown = version.decode() if type(version) is bytes else str(version)
-                if len(shown) > _ECHO_CHARS:
-                    shown = _echo(shown)
-            p.error(
-                "$.format_version",
-                f"unsupported format_version {shown}; this build reads "
-                f"version {FORMAT_VERSION}",
-            )
-        scenario = p.scenario(p.require(obj, "scenario", "$"), "$.scenario")
-        if scenario is not None:
-            # Each list keeps the items that parsed, so traces still see the
-            # ids of the records that did.
-            interactions, _ = p.items(
-                obj.get("interactions", []),
-                "$.interactions",
-                lambda item, path: p.interaction(item, path, scenario),
-                attrgetter("id"),
-                "interaction id",
-                ".id",
-            )
-            record_ids = {rec.id for rec in interactions}
-            traces, _ = p.items(
-                obj.get("traces", []),
-                "$.traces",
-                lambda item, path: p.trace(item, path, record_ids, scenario),
-                attrgetter("id"),
-                "trace id",
-                ".id",
-            )
-            if not p.failed and version == FORMAT_VERSION:
-                document = ScenarioDocument(
-                    format_version=FORMAT_VERSION,
-                    scenario=scenario,
-                    interactions=tuple(sorted(interactions, key=lambda r: r.id)),
-                    traces=tuple(sorted(traces, key=lambda t: t.id)),
-                )
-
+    document = _DOCUMENT.walk(p, raw, "$")
     if p.failed or document is None:
         if not p.failed:
             p.error("$", "document could not be assembled")
@@ -1279,158 +1178,8 @@ def deep_validate(doc: ScenarioDocument) -> list[Diagnostic]:
     return diagnostics
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def _vector(values) -> list:
-    return [format_rational(v) for v in values]
-
-
-def _named(mapping) -> dict:
-    return {name: format_rational(value) for name, value in mapping.items()}
-
-
-def _dimension_obj(dim: Dimension) -> dict:
-    out = {"name": dim.name}
-    if dim.description:
-        out["description"] = dim.description
-    return out
-
-
-def _map_obj(m: ValuationMap) -> dict:
-    if m.form == "table":
-        return {
-            "form": "table",
-            "entries": {fid: _vector(vec) for fid, vec in m.entries.items()},
-        }
-    return {"form": "linear", "matrix": [_vector(row) for row in m.matrix]}
-
-
-def _scenario_obj(s: Scenario) -> dict:
-    schemas = {
-        space: [_dimension_obj(d) for d in schema.dims]
-        for space, schema in s.schemas.items()
-    }
-    out = {
-        "agent_id": s.agent_id,
-        "schemas": schemas,
-        "resource_schema": [_dimension_obj(d) for d in s.resource_schema],
-        "resources": [
-            {"id": r.id, "values": _vector(r.values)}
-            for r in sorted(s.resources, key=lambda r: r.id)
-        ],
-        "characteristics": _named(s.characteristics),
-        "social": _named(s.social),
-        "functionings": [
-            _functioning_obj(fv)
-            for fv in sorted(s.functionings, key=lambda f: f.id)
-        ],
-        "utilization": [
-            _utilization_obj(u)
-            for u in sorted(s.utilization, key=lambda u: u.pattern_id)
-        ],
-        "maps": {mid: _map_obj(m) for mid, m in s.maps.items()},
-        "theta": _vector(s.theta.values),
-    }
-    if s.theta_p is not None:
-        out["theta_p"] = _vector(s.theta_p.values)
-    return out
-
-
-def _functioning_obj(fv: FunctioningVector) -> dict:
-    out = {"id": fv.id, "values": _vector(fv.values)}
-    if fv.unreachable:
-        out["unreachable"] = True
-    return out
-
-
-def _utilization_obj(u: UtilizationEntry) -> dict:
-    out = {
-        "pattern_id": u.pattern_id,
-        "resource_id": u.resource_id,
-        "output": u.output,
-    }
-    if u.guards:
-        out["guards"] = [
-            {"context": g.context, "component": g.component, "min": format_rational(g.min)}
-            for g in u.guards
-        ]
-    return out
-
-
-def _deltas_obj(d: InteractionDeltas) -> dict:
-    out = {}
-    if d.resources_added:
-        out["resources_added"] = [
-            {"id": r.id, "values": _vector(r.values)} for r in d.resources_added
-        ]
-    if d.resources_removed:
-        out["resources_removed"] = list(d.resources_removed)
-    if d.characteristics_delta:
-        out["characteristics_delta"] = _named(d.characteristics_delta)
-    if d.social_delta:
-        out["social_delta"] = _named(d.social_delta)
-    if d.utilization_added:
-        out["utilization_added"] = [_utilization_obj(u) for u in d.utilization_added]
-    if d.utilization_removed:
-        out["utilization_removed"] = list(d.utilization_removed)
-    return out
-
-
-def _record_obj(rec: InteractionRecord) -> dict:
-    out = {
-        "id": rec.id,
-        "actor_id": rec.actor_id,
-        "target": rec.target,
-        "deltas": _deltas_obj(rec.deltas),
-        "intent": rec.intent,
-        "mechanisms": list(rec.mechanisms),
-        "actor_has_right": rec.actor_has_right,
-        "communication_feasible": rec.communication_feasible,
-        "proportionality_ok": rec.proportionality_ok,
-    }
-    if rec.unfair_terms:
-        out["unfair_terms"] = True
-    if rec.promoted_outcome is not None:
-        out["promoted_outcome"] = rec.promoted_outcome
-    if rec.actor_estimate_of_target_values is not None:
-        out["actor_estimate_of_target_values"] = _map_obj(
-            rec.actor_estimate_of_target_values
-        )
-    if rec.believed_scenario is not None:
-        out["believed_scenario"] = _scenario_obj(rec.believed_scenario)
-    if rec.threat_scenario is not None:
-        out["threat_scenario"] = _scenario_obj(rec.threat_scenario)
-    return out
-
-
 def document_to_obj(doc: ScenarioDocument) -> dict:
-    out = {
-        "format_version": doc.format_version,
-        "scenario": _scenario_obj(doc.scenario),
-    }
-    if doc.interactions:
-        out["interactions"] = [
-            _record_obj(rec) for rec in sorted(doc.interactions, key=lambda r: r.id)
-        ]
-    if doc.traces:
-        out["traces"] = [
-            {
-                "id": t.id,
-                "steps": [
-                    {
-                        "interaction": step.interaction,
-                        "target_choice": step.target_choice,
-                        "actor_desired": step.actor_desired,
-                    }
-                    for step in t.steps
-                ],
-            }
-            for t in sorted(doc.traces, key=lambda t: t.id)
-        ]
-    return out
+    return _DOCUMENT.write(doc)
 
 
 def serialize_document(doc: ScenarioDocument) -> str:
@@ -1440,4 +1189,4 @@ def serialize_document(doc: ScenarioDocument) -> str:
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text of one scenario object (used for post-state golden files)."""
-    return json.dumps(_scenario_obj(s), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(_SCENARIO.write(s), sort_keys=True, indent=2, ensure_ascii=False) + "\n"

@@ -12,23 +12,33 @@ long id list.
 Each shipped fixture is also rewritten with its JSON integers as decimals
 (``n.0``): every command must then print what it prints for the original,
 also under ``python -bb``.
+
+A seeded property run mutates single fields of ``test_io._full_doc()``: it
+drops a field, sets it to a value of each JSON kind, or renames it to an
+unknown key.  ``validate`` then exits 0 or 2 with short diagnostic lines, and
+an accepted mutant can be judged and detected.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capkit.cli as cli
 import capkit.judgments.records as records
 import genlib
 from capkit.judgments import judge, materialize_trace
 from capkit.scenario_io import parse_document
+from test_io import _full_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RANSOMWARE = json.loads((FIXTURES / "ransomware.scn").read_text())
@@ -285,3 +295,142 @@ def test_no_bytes_str_comparison_on_any_fixture(tmp_path, capsys):
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout) == expected
+
+
+# Every field of ``_full_doc()`` and every optional field it leaves out, as
+# key paths.  They are written out here rather than read from the parser, so
+# that the property does not share the parser's view of the format.
+_SCENARIO_FIELDS = [
+    ("agent_id",),
+    ("schemas",),
+    ("schemas", "B"),
+    ("schemas", "E"),
+    ("schemas", "P"),
+    ("schemas", "U"),
+    ("schemas", "B", 0, "name"),
+    ("schemas", "B", 0, "description"),
+    ("resource_schema",),
+    ("resource_schema", 0, "name"),
+    ("resources",),
+    ("resources", 0, "id"),
+    ("resources", 0, "values"),
+    ("characteristics",),
+    ("characteristics", "skill"),
+    ("social",),
+    ("social", "support"),
+    ("functionings",),
+    ("functionings", 0, "id"),
+    ("functionings", 0, "values"),
+    ("functionings", 0, "unreachable"),
+    ("utilization",),
+    ("utilization", 0, "pattern_id"),
+    ("utilization", 0, "resource_id"),
+    ("utilization", 0, "output"),
+    ("utilization", 0, "guards"),
+    ("utilization", 0, "guards", 0, "context"),
+    ("utilization", 0, "guards", 0, "component"),
+    ("utilization", 0, "guards", 0, "min"),
+    ("maps",),
+    ("maps", "v"),
+    ("maps", "v", "form"),
+    ("maps", "v", "entries"),
+    ("maps", "v", "entries", "b_a"),
+    ("maps", "v", "matrix"),
+    ("maps", "r"),
+    ("maps", "r", "form"),
+    ("maps", "r", "matrix"),
+    ("maps", "r", "entries"),
+    ("maps", "u"),
+    ("theta",),
+    ("theta_p",),
+]
+_RECORD_FIELDS = [
+    ("id",),
+    ("actor_id",),
+    ("target",),
+    ("deltas",),
+    ("deltas", "resources_added"),
+    ("deltas", "resources_removed"),
+    ("deltas", "characteristics_delta"),
+    ("deltas", "social_delta"),
+    ("deltas", "utilization_added"),
+    ("deltas", "utilization_removed"),
+    ("intent",),
+    ("mechanisms",),
+    ("mechanisms", 0),
+    ("actor_has_right",),
+    ("communication_feasible",),
+    ("proportionality_ok",),
+    ("unfair_terms",),
+    ("promoted_outcome",),
+    ("actor_estimate_of_target_values",),
+    ("believed_scenario",),
+    ("threat_scenario",),
+]
+FIELD_PATHS = (
+    [("format_version",), ("scenario",), ("interactions",), ("traces",)]
+    + [("scenario", *keys) for keys in _SCENARIO_FIELDS]
+    + [("interactions", 0, *keys) for keys in _RECORD_FIELDS]
+    + [
+        ("traces", 0, "id"),
+        ("traces", 0, "steps"),
+        ("traces", 0, "steps", 0, "interaction"),
+        ("traces", 0, "steps", 0, "target_choice"),
+        ("traces", 0, "steps", 0, "actor_desired"),
+    ]
+)
+# A value of each JSON kind.
+JSON_VALUES = [None, True, 0, "x", [], {}]
+
+
+def _mutant(keys, how) -> dict:
+    """``_full_doc()`` with the field at ``keys`` dropped, renamed to an
+    unknown key, or set to ``JSON_VALUES[how]``."""
+    obj = _full_doc()
+    parent = obj
+    for key in keys[:-1]:
+        parent = parent[key]
+    field = keys[-1]
+    if how == "drop":
+        if isinstance(parent, list):
+            del parent[field]
+        else:
+            parent.pop(field, None)
+    elif how == "rename":
+        if isinstance(parent, dict):
+            parent["zz_" + field] = parent.pop(field, 1)
+    else:
+        parent[field] = copy.deepcopy(JSON_VALUES[how])
+    return obj
+
+
+def _run(argv) -> tuple[int, str]:
+    """``cli.main(argv)`` with its output captured: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "mutant.json"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    keys=st.sampled_from(FIELD_PATHS),
+    how=st.sampled_from(["drop", "rename", *range(len(JSON_VALUES))]),
+)
+def test_field_mutation_honours_exit_code_contract(mutant_path, keys, how):
+    mutant_path.write_text(json.dumps(_mutant(keys, how)))
+    code, err = _run(["validate", str(mutant_path)])
+    assert code in (0, 2), err
+    for line in err.splitlines():
+        # An unknown field's diagnostic ends with the kind's list of valid
+        # field names, which the program fixes and the input cannot lengthen.
+        assert len(line.split("; valid fields: ")[0]) < 200, line
+    if code == 0:
+        for command in ("judge", "detect"):
+            evaluated, err = _run([command, str(mutant_path)])
+            assert evaluated in (0, 1), f"{command} exited {evaluated}: {err}"

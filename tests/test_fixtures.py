@@ -214,4 +214,5 @@ class TestCorpusHygiene:
         fixture_stems = {p.stem for p in FIXTURES.glob("*.scn")} | {
             p.stem for p in FIXTURES.glob("*.trc")
         }
-        assert stems <= fixture_stems
+        corpora = {p.name for p in FIXTURES.iterdir() if p.is_dir()}  # invalid/
+        assert stems <= fixture_stems | corpora

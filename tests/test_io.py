@@ -1142,6 +1142,17 @@ class TestScenarioValidation:
         obj["scenario"]["maps"]["v"]["form"] = "spline"
         expect_error(obj, "maps.v.form", "must be 'table' or 'linear'")
 
+    def test_other_form_field_is_a_lenient_warning(self):
+        obj = base_doc()
+        obj["scenario"]["maps"]["v"]["matrix"] = [["garbage"]]
+        obj["scenario"]["maps"]["r"] = {"form": "linear", "matrix": [[1]], "entries": "nonsense"}
+        doc, warnings = parse_obj(obj, lenient=True)
+        assert [str(w) for w in warnings] == [
+            "warning: $.scenario.maps.v: unknown field 'matrix'; valid fields: entries, form",
+            "warning: $.scenario.maps.r: unknown field 'entries'; valid fields: form, matrix",
+        ]
+        assert "matrix" not in json.loads(serialize_document(doc))["scenario"]["maps"]["v"]
+
     def test_theta_arity(self):
         obj = base_doc()
         obj["scenario"]["theta"] = [1, 1]
@@ -1462,14 +1473,26 @@ def _two_bad_components(obj):
     return ["$.scenario.theta[0]", "$.scenario.theta[2]"]
 
 
+def _two_bad_mechanisms(obj):
+    obj["interactions"] = [_interaction_obj(mechanisms=["bogus", 3, "offer"])]
+    return ["$.interactions[0].mechanisms[0]", "$.interactions[0].mechanisms[1]"]
+
+
 class TestEveryBadItem:
     """Every item of a list is walked: a list with two bad items reports both,
     each at its own path."""
 
     @pytest.mark.parametrize(
         "mutate",
-        [_two_bad_dimensions, _two_bad_ids, _two_bad_rows, _two_bad_steps, _two_bad_components],
-        ids=["dimensions", "ids", "matrix", "steps", "vector"],
+        [
+            _two_bad_dimensions,
+            _two_bad_ids,
+            _two_bad_rows,
+            _two_bad_steps,
+            _two_bad_components,
+            _two_bad_mechanisms,
+        ],
+        ids=["dimensions", "ids", "matrix", "steps", "vector", "mechanisms"],
     )
     def test_both_bad_items_are_diagnosed(self, mutate):
         obj = base_doc()
@@ -1568,6 +1591,77 @@ class TestRoundTrip:
         text = serialize_scenario(doc.scenario)
         assert text.startswith("{")
         assert '"agent_id": "rosa"' in text
+
+    # (keys of the parent object in _full_doc(), optional field, a value other
+    # than its default, its default): a default of None is not written at all.
+    OPTIONAL = [
+        (("scenario", "schemas", "B", 0), "description", "prose", ""),
+        (("scenario", "schemas"), "U", [{"name": "comfort"}], None),
+        (("scenario", "functionings", 1), "unreachable", True, False),
+        (("scenario", "maps"), "u", {"form": "table", "entries": {"b_a": [0], "b_b": [1]}}, None),
+        (("scenario",), "theta_p", [1], None),
+        (("interactions", 0, "deltas"), "resources_added", [{"id": "x1", "values": [2]}], []),
+        (("interactions", 0, "deltas"), "resources_removed", ["x0"], []),
+        (("interactions", 0, "deltas"), "characteristics_delta", {"skill": 1}, {}),
+        (("interactions", 0, "deltas"), "social_delta", {"support": "-1/2"}, {}),
+        (
+            ("interactions", 0, "deltas"),
+            "utilization_added",
+            [{"pattern_id": "f_c", "resource_id": "x1", "output": "b_a"}],
+            [],
+        ),
+        (("interactions", 0, "deltas"), "utilization_removed", ["f_a"], []),
+        (("interactions", 0), "unfair_terms", True, False),
+        (("interactions", 0), "promoted_outcome", "b_b", None),
+        (
+            ("interactions", 0),
+            "actor_estimate_of_target_values",
+            {"form": "table", "entries": {"b_a": [2], "b_b": [1]}},
+            None,
+        ),
+        (("interactions", 0), "believed_scenario", "<scenario>", None),
+        (("interactions", 0), "threat_scenario", "<scenario>", None),
+    ]
+
+    def _with_optional(self, pick) -> str:
+        """``_full_doc()`` with each optional field set to ``pick(value, default)``
+        (left out where that is None), serialized canonically."""
+        obj = _full_doc()
+        for keys, field, value, default in self.OPTIONAL:
+            target = obj
+            for key in keys:
+                target = target[key]
+            chosen = pick(value, default)
+            if chosen == "<scenario>":
+                chosen = copy.deepcopy(obj["scenario"])
+            if chosen is not None:
+                target[field] = chosen
+        doc, _ = parse_obj(obj)
+        return serialize_document(doc)
+
+    def _present(self, text) -> list[bool]:
+        out = json.loads(text)
+        present = []
+        for keys, field, _, _ in self.OPTIONAL:
+            target = out
+            for key in keys:
+                target = target[key]
+            present.append(field in target)
+        return present
+
+    def test_every_optional_field_round_trips(self):
+        text = self._with_optional(lambda value, default: value)
+        doc, _ = parse_document(text)
+        assert serialize_document(doc) == text
+        assert self._present(text) == [True] * len(self.OPTIONAL)
+        record = json.loads(text)["interactions"][0]
+        assert record["believed_scenario"] == json.loads(text)["scenario"]
+        assert record["believed_scenario"]["maps"]["r"] == {"form": "linear", "matrix": [[1]]}
+
+        bare = self._with_optional(lambda value, default: default)
+        assert self._present(bare) == [False] * len(self.OPTIONAL)
+        doc, _ = parse_document(bare)
+        assert serialize_document(doc) == bare
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_generated_documents_round_trip(self, seed):
