@@ -21,7 +21,7 @@ from ..model.freedom import (
     maximal_plans,
     maximal_transient,
 )
-from ..model.frontier import maximal_set, meeting
+from ..model.frontier import maximal_of_distinct, meeting
 from ..model.types import FunctioningVector, Scenario, value_set
 from .improvement import unmatched
 from .records import InteractionRecord, MaterializedStep
@@ -113,7 +113,7 @@ def paternalism_check(
             }
         )
         if rec.actor_estimate_of_target_values is not None:
-            m_est = maximal_set(q_before, rec.actor_estimate_of_target_values)
+            m_est = maximal_of_distinct(q_before, rec.actor_estimate_of_target_values)
             evidence.append(
                 {
                     "kind": "actor_estimate",

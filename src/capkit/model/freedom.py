@@ -2,7 +2,8 @@
 
 Besides M(Q) under v (the maximal plans), each scenario caches the two
 other frontiers the improvement quantifiers reduce to: M(Q) under u and
-M(Q*) under r.
+M(Q*) under r.  Q and Q* are distinct by value already, so their frontiers
+are taken without a second deduplication.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .frontier import maximal_set, meeting, scaled_images
+from .frontier import maximal_of_distinct, meeting, scaled_images
 from .types import FunctioningVector, Scenario, dedupe_by_value
 
 
@@ -59,7 +60,7 @@ def compute_real_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
 @_per_scenario
 def maximal_plans(s: Scenario) -> tuple[FunctioningVector, ...]:
     """The maximal set M: members of Q whose v-image nothing in Q strictly beats."""
-    return maximal_set(compute_freedom(s), s.v)
+    return maximal_of_distinct(compute_freedom(s), s.v)
 
 
 @_per_scenario
@@ -67,13 +68,13 @@ def maximal_transient(s: Scenario) -> tuple[FunctioningVector, ...]:
     """M(Q) under the transient valuation u: M itself when u is v's map."""
     if "u" not in s.maps:
         return maximal_plans(s)
-    return maximal_set(compute_freedom(s), s.u)
+    return maximal_of_distinct(compute_freedom(s), s.u)
 
 
 @_per_scenario
 def maximal_real_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
     """M(Q*) under r: members of Q* whose r-image nothing in Q* strictly beats."""
-    return maximal_set(compute_real_freedom(s), s.r)
+    return maximal_of_distinct(compute_real_freedom(s), s.r)
 
 
 @dataclass(frozen=True)

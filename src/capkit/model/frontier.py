@@ -12,11 +12,13 @@ over the table's images, so ⪰, ≻ and equality give the same answers on the
 ints as on the rationals (D_k > 0).  A map's stored images (table entries,
 or a parsed linear map's catalog images) become its table once, cached on
 the map; a callable, a linear map built in code, or a vector outside the
-stored images gets a transient table of the images asked for.  Tables on
-one scale are used as they are; tables on different scales meet on the
-column lcm L, column k times L_k/D_k.  θ goes on as ⌈θ_k·L_k⌉: for an int
-x, x ≥ θ_k·L_k iff x ≥ ⌈θ_k·L_k⌉.  :func:`integer_images` is the one
-Fraction→int step.
+stored images gets a transient table of the images asked for.  A table's
+scale is taken over its map's distinct image tuples, and the maps one
+document parses to share one memo, so each (image tuple, scale) of the
+document is put on ints once.  Tables on one scale are used as they are;
+tables on different scales meet on the column lcm L, column k times
+L_k/D_k.  θ goes on as ⌈θ_k·L_k⌉: for an int x, x ≥ θ_k·L_k iff
+x ≥ ⌈θ_k·L_k⌉.  :func:`_on_scale` is the one Fraction→int step.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .types import FunctioningVector, ValuationMap, dedupe_by_value
 
 Valuation = Union[ValuationMap, Callable[[FunctioningVector], tuple]]
 Ints = list[tuple[int, ...]]
-_NO_TABLE = ({}, None, attrgetter("id"))
+_ID = attrgetter("id")
+_NO_TABLE = ({}, None, _ID)
 
 
 def _same_width(widths: set[int]) -> None:
@@ -56,6 +59,11 @@ def _common_scale(images: Sequence[Sequence[Rational]]) -> tuple[int, ...]:
         raise
 
 
+def _on_scale(img: Sequence[Rational], scale: Sequence[int]) -> tuple[int, ...]:
+    """One image on an integer scale: component k times D_k."""
+    return tuple([x.numerator * (d // x.denominator) for x, d in zip(img, scale)])
+
+
 def integer_images(images: Sequence[Sequence[Rational]]) -> tuple[Ints, tuple[int, ...]]:
     """The images on their own integer scale, and that scale.
 
@@ -65,23 +73,32 @@ def integer_images(images: Sequence[Sequence[Rational]]) -> tuple[Ints, tuple[in
     otherwise).
     """
     scale = _common_scale(images)
-    return [
-        tuple([x.numerator * (d // x.denominator) for x, d in zip(img, scale)]) for img in images
-    ], scale
+    return [_on_scale(img, scale) for img in images], scale
 
 
 def _build_table(w: ValuationMap):
     """(int images keyed like w's stored ones, their scale, the key getter);
     empty, on scale None, when w stores no images or they are ragged or not
-    all rational."""
+    all rational.  The scale is taken over w's distinct image tuples, each
+    converted once per (tuple, scale) in ``w._ints``."""
     images, key = w._stored()
     table, scale = {}, None
-    if images:
-        try:
-            ints, scale = integer_images(list(images.values()))
-            table = dict(zip(images, ints))
-        except (SchemaError, ValuationError):
-            pass
+    distinct = {id(img): img for img in images.values()}
+    try:
+        scale = _common_scale(list(distinct.values())) if distinct else None
+    except (SchemaError, ValuationError):
+        pass
+    if scale is not None:
+        # memo: scale -> id(tuple) -> (tuple, int image); each entry holds its
+        # tuple, so no id is reused while the memo lives.
+        memo = (w._ints if w._ints is not None else {}).setdefault(scale, {})
+        ints = {}
+        for i, img in distinct.items():
+            held = memo.get(i)
+            if held is None:
+                held = memo[i] = (img, _on_scale(img, scale))
+            ints[i] = held[1]
+        table = {k: ints[id(img)] for k, img in images.items()}
     return table, scale, attrgetter(key)
 
 
@@ -201,6 +218,13 @@ def maximal_set(
     Distinct vectors with equal images are all maximal or all not, and are
     all returned.  The result is ordered by id.
     """
-    candidates = list(dedupe_by_value(q).values())
+    return maximal_of_distinct(list(dedupe_by_value(q).values()), w)
+
+
+def maximal_of_distinct(
+    candidates: Sequence[FunctioningVector], w: Valuation
+) -> tuple[FunctioningVector, ...]:
+    """:func:`maximal_set` of vectors already distinct by value, such as a
+    cached Q or Q*: they are not deduplicated again."""
     (ints,), _, _ = scaled_images([(candidates, w)])
-    return tuple(sorted((candidates[i] for i in skyline(ints)), key=lambda fv: fv.id))
+    return tuple(sorted((candidates[i] for i in skyline(ints)), key=_ID))

@@ -172,6 +172,9 @@ class ValuationMap:
     Maps are read-only, like :class:`Scenario`: the frontier kernels cache
     the stored images' integer table on the instance (empty when they are
     absent, ragged or not all rational; images it lacks are computed per call).
+    ``_ints``, where given, memoizes integer images per (image tuple, scale);
+    the parser gives the maps of one document one memo, so an image tuple
+    they share is put on a scale once.
     """
 
     map_id: str
@@ -179,6 +182,7 @@ class ValuationMap:
     entries: Optional[Mapping[str, tuple[Fraction, ...]]] = None
     matrix: Optional[tuple[tuple[Fraction, ...], ...]] = None
     _table: object = field(default=None, repr=False, compare=False, hash=False)
+    _ints: Optional[dict] = field(default=None, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.map_id not in ("v", "r", "u"):

@@ -26,6 +26,16 @@ default, and whether it is left out of the output at its default.  One
 walker reads every kind from its table and one writer writes it back (the
 pickler combinators of Kennedy, JFP 2004); a kind adds only its
 cross-references.
+
+A document repeats values: literals, vectors, catalog entries, utilization
+patterns, and whole scenarios (a record's threat and believed worlds are
+near-copies of the main one).  The parser pays once per distinct value
+(hash-consing, Filliâtre & Conchon, ML Workshop 2006): literals, vectors,
+functionings and utilization entries are walked once per distinct
+``marshal`` key, and equal scenarios parse to one :class:`Scenario`.  A
+scenario is never marshalled whole unless it must be: a verbatim copy is
+answered by identity, other scenarios are bucketed by a cheap fingerprint,
+and only scenarios that share a fingerprint are marshalled and compared.
 """
 
 from __future__ import annotations
@@ -136,6 +146,26 @@ def _reject_constant(name):
     raise ValueError(f"non-finite literal {name}")
 
 
+def _key(raw) -> bytes:
+    """The memo key of a decoded value: its marshal bytes (see :meth:`_Parser.memo`)."""
+    try:
+        return marshal.dumps(raw, 2)
+    except ValueError:  # nested past marshal's bound (a raised recursion limit)
+        raise DocumentError([_TOO_DEEP]) from None
+
+
+def _shape(value, depth: int = 2):
+    """``value`` with every array, and every object ``depth`` levels down,
+    replaced by its length: the fingerprint of a raw scenario is
+    ``_key(_shape(raw))``.  It is a function of the value, so equal marshal
+    bytes always give equal fingerprints."""
+    if type(value) is list:
+        return len(value)
+    if type(value) is dict:
+        return {k: _shape(v, depth - 1) for k, v in value.items()} if depth else len(value)
+    return value
+
+
 # How many distinct object texts a new object value is compared against.
 _RECENT_SPANS = 8
 
@@ -200,6 +230,9 @@ class _DocumentDecoder(json.JSONDecoder):
         return value, end
 
 
+# An unknown-field diagnostic lists a kind's valid fields up to this length.
+_LISTED_CHARS = 60
+
 # What a field absent from its object reads as, before its default applies.
 _MISSING = object()
 
@@ -235,13 +268,14 @@ def _equal_value_pairs(functionings) -> list[tuple[str, str]]:
 
 
 class _Uses(NamedTuple):
-    """What a utilization entry and its guards may refer to; ``resource_ids``
-    None skips the resource check."""
+    """What a utilization entry and its guards may refer to: resource ids
+    (None skips the resource check), functioning ids, and the names of the
+    characteristics and social components."""
 
     resource_ids: Optional[set]
     fv_ids: object  # any container of the catalog's functioning ids
-    characteristics: dict
-    social: dict
+    characteristics: frozenset
+    social: frozenset
 
 
 class _MapContext(NamedTuple):
@@ -292,7 +326,8 @@ class _Kind:
     def __init__(self, rows, finish, noun="field", check=None, read=getattr):
         self.rows = rows
         self.names = frozenset(row.name for row in rows)
-        self.valid = ", ".join(sorted(self.names))
+        valid = ", ".join(sorted(self.names))
+        self.valid = valid if len(valid) <= _LISTED_CHARS else None
         # An absent field reads as the default it is walked with, or as _MISSING.
         walked = [r.default if type(r.default) in (list, dict) else _MISSING for r in rows]
         self.walks = tuple(
@@ -320,7 +355,7 @@ class _Kind:
             report = p.warning if p.lenient else p.error
             for key in raw:
                 if key not in self.names:
-                    report(path, f"unknown field {key!r}; valid fields: {self.valid}")
+                    report(path, self.unknown(key))
         got = {}
         ok = True
         for name, walk, absent, default, on_error in self.walks:
@@ -343,6 +378,18 @@ class _Kind:
         if self.check is not None:
             self.check(p, raw, got, path, ctx)
         return self.finish(p, got, path, ctx) if ok else None
+
+    def unknown(self, key: str) -> str:
+        """The unknown-field message: the key, echoed within a bounded length,
+        then the valid fields when their list is short, else the closest one,
+        if any, so the line stays under 200 characters."""
+        message = f"unknown field {_echo(key)}"
+        if self.valid is not None:
+            return f"{message}; valid fields: {self.valid}"
+        from difflib import get_close_matches  # ~1 ms of start-up, paid only here
+
+        near = get_close_matches(key, sorted(self.names), 1)
+        return f"{message}; did you mean {near[0]!r}?" if near else message
 
     def write(self, obj) -> dict:
         """The canonical JSON object of ``obj``, written from the same table."""
@@ -367,17 +414,21 @@ def _named(mapping) -> dict:
     return {name: format_rational(value) for name, value in mapping.items()}
 
 
-def _many(item: _Kind, order, label="", context=None) -> tuple[Callable, Callable]:
+def _many(
+    item: _Kind, order, label="", context=None, item_walk=None
+) -> tuple[Callable, Callable]:
     """(walk, write) of an array of ``item`` objects, kept sorted by ``order``.
 
     With ``label``, an item whose ``order`` key repeats an earlier one is a
     ``duplicate {label}`` error.  ``context(ctx, got)`` gives the items' ctx;
-    without it they get the array's own.
+    without it they get the array's own.  ``item_walk``, where given, walks
+    each item in place of ``item.walk``.
     """
+    item_walk = item_walk or item.walk
 
     def walk(p, raw, path, ctx, got):
         item_ctx = context(ctx, got) if context else ctx
-        out, ok = p.items(raw, path, item.walk, item_ctx, order if label else None, label)
+        out, ok = p.items(raw, path, item_walk, item_ctx, order if label else None, label)
         return tuple(sorted(out, key=order)) if ok else None
 
     return walk, lambda values: [item.write(value) for value in sorted(values, key=order)]
@@ -391,14 +442,18 @@ class _Parser:
     each kind's cross-references (ids, widths, overrides, map totality,
     mechanism prerequisites).
 
-    A document repeats a few distinct literals and vectors many times, and
-    its interaction records repeat whole scenarios (a believed world equal
-    to the true one, one threat world per record).  Each of these is walked
-    once per distinct raw value (:meth:`memo`): equal copies share one
-    result, so equal scenario subtrees parse to one :class:`Scenario` whose
-    derived sets are then computed once.  A verbatim copy of a scenario
-    arrives from :class:`_DocumentDecoder` as the very object it copies and
-    is answered by identity, without being marshalled or walked.
+    A document repeats a few distinct literals, vectors, catalog entries
+    and utilization patterns many times, and its interaction records repeat
+    whole scenarios (a believed world equal to the true one, one threat
+    world per record).  Each of these is walked once per distinct raw value
+    (:meth:`memo`): equal copies share one result, so equal scenario
+    subtrees parse to one :class:`Scenario` whose derived sets are then
+    computed once.  Scenarios are keyed by the first raw scenario equal to
+    them (:meth:`_first_equal`): a verbatim copy arrives from
+    :class:`_DocumentDecoder` as the very object it copies and is answered
+    by identity; any other is marshalled only when its fingerprint
+    (:func:`_shape`) is that of an earlier scenario.  The table maps of one
+    document share one memo of integer images (``ValuationMap._ints``).
     """
 
     def __init__(self, lenient: bool):
@@ -406,9 +461,13 @@ class _Parser:
         self.diagnostics: list[Diagnostic] = []
         self._rationals: dict[bytes, tuple] = {}
         self._vectors: dict[bytes, tuple] = {}
-        self._scenarios: dict[bytes, tuple] = {}
-        self._scenario_objects: dict[int, tuple] = {}
+        self._functionings: dict[tuple, tuple] = {}
+        self._patterns: dict[tuple, tuple] = {}
+        self._scenarios: dict[int, tuple] = {}
+        self._worlds: dict[int, tuple] = {}  # id(raw) -> (raw, first equal raw)
+        self._buckets: dict[bytes, list] = {}  # fingerprint -> [[raw, key or None], ...]
         self._value_keys: dict[int, tuple] = {}
+        self._ints: dict = {}
 
     # -- diagnostics -------------------------------------------------------
 
@@ -482,55 +541,76 @@ class _Parser:
             out.append(result)
         return out, ok
 
-    def memo(self, cache: dict, walk, raw, path: str, objects: Optional[dict] = None):
-        """``walk(raw, path)``, run once per distinct ``raw`` in ``cache``.
+    def memo(self, cache: dict, key, walk, raw, path: str, ctx=None):
+        """``walk(self, raw, path, ctx, None)``, run once per distinct ``key``
+        in ``cache``.
 
-        Raw values are keyed by ``marshal.dumps(raw, 2)``, not compared by
-        ``==``: ``True == 1``, yet only the integer is a valid rational and
-        only the boolean a valid flag.  Marshal writes a distinct type code
-        for each (and for ``bytes``, the raw form of a non-int number, apart
-        from ``str``), so equal bytes mean the same types and values in the
-        same key order, hence the same walk; version 2 writes no interning
-        marks, so the bytes depend on the value alone.  A walk depends on
-        ``raw`` and ``lenient`` alone and each of its diagnostics lies under
-        ``path``, so a hit re-emits the first walk's diagnostics under its
-        own path: exactly what a fresh walk would.  Results are immutable,
-        so copies may share them.
-
-        ``objects``, where given, answers a raw value seen before by its
-        identity, before anything is marshalled: the decoder hands each
-        verbatim copy of an object over as the object it copies.  Each entry
-        holds its raw value, so no identity is reused while the parser lives.
+        A key stands for the raw value's marshal bytes, ``_key(raw)``
+        (version 2 writes no interning marks, so the bytes depend on the value
+        alone), plus whatever of ``ctx`` the walk reads; a scenario's key is
+        the identity of the first raw scenario with its bytes
+        (:meth:`_first_equal`), so it is marshalled only when it must be
+        told apart from another of the same fingerprint.  Raw values are not
+        compared by ``==``: ``True == 1``, yet only the integer is a valid
+        rational and only the boolean a valid flag.  Marshal writes a distinct
+        type code for each (and for ``bytes``, the raw form of a non-int
+        number, apart from ``str``), so equal bytes mean the same types and
+        values in the same key order, hence the same walk.  A walk depends on
+        its key and ``lenient`` alone and each of its diagnostics lies under
+        ``path``, so a hit re-emits the first walk's diagnostics under its own
+        path: exactly what a fresh walk would.  Results are immutable, so
+        copies may share them.
         """
-        held = objects.get(id(raw)) if objects is not None else None
-        if held is not None:
-            return self._replay(held[1], path)
-        try:
-            key = marshal.dumps(raw, 2)
-        except ValueError:  # nested past marshal's bound (a raised recursion limit)
-            raise DocumentError([_TOO_DEEP]) from None
         hit = cache.get(key)
         if hit is None:
             before = len(self.diagnostics)
-            result = walk(raw, path)
-            found = tuple(replace(d, path=d.path[len(path):]) for d in self.diagnostics[before:])
-            hit = cache[key] = (result, found)
-        else:
-            self._replay(hit, path)
-        if objects is not None:
-            objects[id(raw)] = (raw, hit)
-        return hit[0]
-
-    def _replay(self, hit: tuple, path: str):
-        """A memoized walk's result, its diagnostics re-emitted under ``path``."""
+            result = walk(self, raw, path, ctx, None)
+            found = ()
+            if len(self.diagnostics) > before:
+                found = tuple(
+                    replace(d, path=d.path[len(path):]) for d in self.diagnostics[before:]
+                )
+            cache[key] = (result, found)
+            return result
         if hit[1]:
             self.diagnostics += [replace(d, path=path + d.path) for d in hit[1]]
         return hit[0]
 
-    def rational(self, value, path, ctx=None, got=None) -> Optional[Fraction]:
-        return self.memo(self._rationals, self._walk_rational, value, path)
+    def _first_equal(self, raw: dict) -> dict:
+        """The first raw scenario seen whose marshal bytes equal ``raw``'s, or
+        ``raw`` itself.
 
-    def _walk_rational(self, value, path) -> Optional[Fraction]:
+        A raw scenario seen before is answered by identity.  Any other goes
+        to the bucket of its fingerprint, ``_key(_shape(raw))``: when the
+        bucket is empty nothing more is marshalled; otherwise ``raw``, and
+        each scenario of the bucket not yet keyed, are marshalled whole and
+        compared.  Every entry holds its raw value, so no identity is reused
+        while the parser lives.
+        """
+        held = self._worlds.get(id(raw))
+        if held is not None:
+            return held[1]
+        first = raw
+        bucket = self._buckets.setdefault(_key(_shape(raw)), [])
+        if not bucket:
+            bucket.append([raw, None])
+        else:
+            key = _key(raw)
+            for entry in bucket:
+                if entry[1] is None:
+                    entry[1] = _key(entry[0])
+                if entry[1] == key:
+                    first = entry[0]
+                    break
+            else:
+                bucket.append([raw, key])
+        self._worlds[id(raw)] = (raw, first)
+        return first
+
+    def rational(self, value, path, ctx=None, got=None) -> Optional[Fraction]:
+        return self.memo(self._rationals, _key(value), _Parser._walk_rational, value, path)
+
+    def _walk_rational(self, value, path, ctx=None, got=None) -> Optional[Fraction]:
         try:
             return parse_rational(value)
         except SchemaError as exc:
@@ -542,15 +622,24 @@ class _Parser:
         arr = self.array(value, path)
         if arr is None:
             return None
-        out = self.memo(self._vectors, self._walk_vector, arr, path)
+        out = self.memo(self._vectors, _key(arr), _Parser._walk_vector, arr, path)
         if out is not None and length is not None and len(out) != length:
             self.error(path, f"expected {length} components, got {len(out)}")
             return None
         return out
 
-    def _walk_vector(self, arr: list, path) -> Optional[tuple]:
-        values, ok = self.items(arr, path, _Parser.rational)
-        return tuple(values) if ok else None
+    def _walk_vector(self, arr: list, path, ctx=None, got=None) -> Optional[tuple]:
+        # Components that are clean hits of the rational memo are read in
+        # place; the first that is not sends the whole vector through items.
+        rationals = self._rationals
+        values = []
+        for raw in arr:
+            hit = rationals.get(_key(raw))
+            if hit is None or hit[1]:
+                values, ok = self.items(arr, path, _Parser.rational)
+                return tuple(values) if ok else None
+            values.append(hit[0])
+        return tuple(values)
 
     def value_key(self, values: tuple) -> tuple[int, ...]:
         """``value_key_of(values)``, built once per distinct parsed vector.
@@ -606,16 +695,38 @@ class _Parser:
     def scenario(self, value, path, ctx=None, got=None) -> Optional[Scenario]:
         if not isinstance(value, dict):
             return self.mistyped(value, path, "an object")
-        walk = partial(_SCENARIO.walk, self)
-        return self.memo(self._scenarios, walk, value, path, self._scenario_objects)
+        first = self._first_equal(value)
+        return self.memo(self._scenarios, id(first), _SCENARIO.walk, value, path)
 
     def catalog(self, value, path, ctx, got) -> Optional[tuple[FunctioningVector, ...]]:
         """The functionings in document order, the order the maps report in.
         The walk ends here if they or the resources failed: patterns use both."""
         functionings, ok = self.items(
-            value, path, _FUNCTIONING.walk, len(got["schemas"]["B"]), _ID, "functioning id"
+            value, path, _Parser.functioning, len(got["schemas"]["B"]), _ID, "functioning id"
         )
         return tuple(functionings) if ok and got["resources"] is not None else None
+
+    def functioning(self, value, path, width: int, got=None) -> Optional[FunctioningVector]:
+        """A catalog entry, walked once per distinct raw entry and B width."""
+        return self.memo(
+            self._functionings, (width, _key(value)), _FUNCTIONING.walk, value, path, width
+        )
+
+    def pattern(self, value, path, uses: _Uses, got=None) -> Optional[UtilizationEntry]:
+        """A utilization entry.  Its fields and guards are walked once per
+        distinct raw entry and context names; its resource and output ids
+        are checked at every occurrence, after the walk's diagnostics."""
+        key = (uses.characteristics, uses.social, _key(value))
+        entry = self.memo(self._patterns, key, _UTILIZATION.walk, value, path, uses)
+        if entry is None:
+            return None
+        if uses.resource_ids is not None and entry.resource_id not in uses.resource_ids:
+            self.error(f"{path}.resource_id", f"unknown resource id {entry.resource_id!r}")
+            return None
+        if entry.output not in uses.fv_ids:
+            self.error(f"{path}.output", f"unknown functioning id {entry.output!r}")
+            return None
+        return entry
 
     def maps(self, value, path, ctx, got) -> Optional[dict]:
         fvs = got["functionings"]
@@ -647,16 +758,6 @@ class _Parser:
             self.error(f"{path}.component", f"unknown {context} component {component!r}")
             return None
         return Guard(**got)
-
-    def finish_utilization(self, got, path, uses: _Uses) -> Optional[UtilizationEntry]:
-        rid, output = got["resource_id"], got["output"]
-        if uses.resource_ids is not None and rid not in uses.resource_ids:
-            self.error(f"{path}.resource_id", f"unknown resource id {rid!r}")
-            return None
-        if output not in uses.fv_ids:
-            self.error(f"{path}.output", f"unknown functioning id {output!r}")
-            return None
-        return UtilizationEntry(**got)
 
     # -- valuation maps ----------------------------------------------------
 
@@ -693,13 +794,19 @@ class _Parser:
             return None
         entries = {}
         ok = True
+        vectors, width = self._vectors, ctx.codomain_len
         for fid, raw in obj.items():
-            epath = f"{path}.{fid}"
             if fid not in ctx.fv_ids:
-                self.error(epath, f"entry for unknown functioning {fid!r}")
+                self.error(f"{path}.{fid}", f"entry for unknown functioning {fid!r}")
                 ok = False
                 continue
-            vec = self.rational_vector(raw, epath, ctx.codomain_len)
+            # A clean hit of the vector memo is read in place; anything else
+            # takes rational_vector's path.
+            hit = vectors.get(_key(raw)) if type(raw) is list else None
+            if hit is not None and not hit[1] and len(hit[0]) == width:
+                entries[fid] = hit[0]
+                continue
+            vec = self.rational_vector(raw, f"{path}.{fid}", width)
             if vec is None:
                 ok = False
                 continue
@@ -733,7 +840,7 @@ class _Parser:
         return tuple(rows) if ok else None
 
     def finish_linear(self, got, path, ctx: _MapContext) -> Optional[ValuationMap]:
-        linear = ValuationMap(map_id=ctx.map_id, form="linear", matrix=got["matrix"])
+        linear = ValuationMap(ctx.map_id, "linear", matrix=got["matrix"], _ints=self._ints)
         # Reports print images, so each must print within the digit limit;
         # the map keeps them, so no image is computed twice.
         for fv in ctx.functionings:
@@ -956,7 +1063,8 @@ def _resource_width(ctx, got) -> int:
 def _uses(ctx, got) -> _Uses:
     resource_ids = {res.id for res in got["resources"]}
     fv_ids = {fv.id for fv in got["functionings"]}
-    return _Uses(resource_ids, fv_ids, got["characteristics"] or {}, got["social"] or {})
+    characteristics, social = got["characteristics"] or (), got["social"] or ()
+    return _Uses(resource_ids, fv_ids, frozenset(characteristics), frozenset(social))
 
 
 def _added_width(s, got) -> int:
@@ -964,7 +1072,7 @@ def _added_width(s, got) -> int:
 
 
 def _added(s, got) -> _Uses:
-    return _Uses(None, s._fv_by_id, s.characteristics, s.social)
+    return _Uses(None, s._fv_by_id, frozenset(s.characteristics), frozenset(s.social))
 
 
 _DIMENSION = _Kind(
@@ -1005,7 +1113,7 @@ _UTILIZATION = _Kind(
         _Row("output", *_TEXT),
         _Row("guards", *_GUARDS, [], True),
     ),
-    _Parser.finish_utilization,
+    _build(UtilizationEntry),
 )
 _FORM = _Row("form", _Parser.map_form, str, on_error=_STOP)
 _ENTRIES = _Row("entries", _Parser.entries, lambda e: {f: _vector(v) for f, v in e.items()})
@@ -1013,7 +1121,9 @@ _MATRIX = _Row("matrix", _Parser.matrix, lambda matrix: [_vector(row) for row in
 _MAP_FORMS = {
     "table": _Kind(
         (_FORM, _ENTRIES),
-        lambda p, got, path, ctx: ValuationMap(ctx.map_id, "table", got["entries"]),
+        lambda p, got, path, ctx: ValuationMap(
+            ctx.map_id, "table", got["entries"], _ints=p._ints
+        ),
     ),
     "linear": _Kind((_FORM, _MATRIX), _Parser.finish_linear),
 }
@@ -1038,7 +1148,11 @@ _SCENARIO = _Kind(
         _Row("characteristics", *_RATIONALS, {}),
         _Row("social", *_RATIONALS, {}),
         _Row("functionings", _Parser.catalog, _many(_FUNCTIONING, _ID)[1], [], False, _STOP),
-        _Row("utilization", *_many(_UTILIZATION, _PATTERN_ID, "pattern id", _uses), []),
+        _Row(
+            "utilization",
+            *_many(_UTILIZATION, _PATTERN_ID, "pattern id", _uses, _Parser.pattern),
+            [],
+        ),
         _Row("maps", _Parser.maps, _MAPS.write),
         _Row("theta", *_threshold("E")),
         _Row("theta_p", *_threshold("P"), None, True, _DEFAULT),
@@ -1056,7 +1170,10 @@ _DELTAS = _Kind(
         # (earlier trace steps may add the resource), so it is checked at
         # application time; outputs and guard components are static.
         _Row(
-            "utilization_added", *_many(_UTILIZATION, _PATTERN_ID, "pattern id", _added), [], True
+            "utilization_added",
+            *_many(_UTILIZATION, _PATTERN_ID, "pattern id", _added, _Parser.pattern),
+            [],
+            True,
         ),
     ),
     _build(InteractionDeltas),

@@ -183,9 +183,9 @@ class TestSharedFrontiers:
     def test_undeclared_u_shares_m(self, monkeypatch):
         # grocery.scn declares no u, so s.u is v's map and M(Q) under u is M.
         calls = []
-        original = freedom.maximal_set
+        original = freedom.maximal_of_distinct
         monkeypatch.setattr(
-            freedom, "maximal_set", lambda *args: calls.append(1) or original(*args)
+            freedom, "maximal_of_distinct", lambda *args: calls.append(1) or original(*args)
         )
         doc, _ = parse_document((FIXTURES / "grocery.scn").read_text())
         s = doc.scenario

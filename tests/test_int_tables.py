@@ -4,6 +4,7 @@ judgments that run on them, against Fraction arithmetic and the oracle."""
 from __future__ import annotations
 
 import json
+import marshal
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -11,6 +12,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import genlib
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capkit.cli as cli
+from capkit import scenario_io
 from capkit.errors import SchemaError
 from capkit.judgments.failures import detect_coercion, detect_deception
 from capkit.judgments.improvement import (
@@ -442,13 +445,16 @@ def test_replaced_linear_matrix_never_reads_old_images():
 
 @contextmanager
 def _scaling():
-    """Counts table builds per map, and ``integer_images`` calls outside
-    them (the per-call Fraction→int steps)."""
+    """Counts table builds per map, image rows put on a scale inside them per
+    (image tuple, scale), and ``integer_images`` calls outside them (the
+    per-call Fraction→int steps)."""
     builds: Counter = Counter()
-    held = []  # keeps every counted map alive, so ids stay unique
+    rows: Counter = Counter()
+    held = []  # keeps every counted map and image alive, so ids stay unique
     per_call = Counter()
     building = []
     real_build, real_images = frontier._build_table, frontier.integer_images
+    real_on_scale = frontier._on_scale
 
     def build(w):
         builds[id(w)] += 1
@@ -459,6 +465,12 @@ def _scaling():
         finally:
             building.pop()
 
+    def on_scale(img, scale):
+        if building:
+            rows[id(img), scale] += 1
+            held.append(img)
+        return real_on_scale(img, scale)
+
     def integer_images(*args):
         if not building:
             per_call["integer_images"] += 1
@@ -466,8 +478,8 @@ def _scaling():
 
     with patch.object(frontier, "_build_table", build), patch.object(
         frontier, "integer_images", integer_images
-    ):
-        yield builds, held, per_call
+    ), patch.object(frontier, "_on_scale", on_scale):
+        yield builds, held, per_call, rows
 
 
 def test_fixtures_scale_each_map_once(capsys):
@@ -475,17 +487,110 @@ def test_fixtures_scale_each_map_once(capsys):
     runs += [("detect", p) for p in sorted(FIXTURES.glob("*.trc"))]
     assert len(runs) >= 9
     tables = 0
-    with _scaling() as (builds, held, per_call):
+    with _scaling() as (builds, held, per_call, rows):
         for command, path in runs:
             builds.clear()
             held.clear()
+            rows.clear()
             code = cli.main([command, str(path)])
             capsys.readouterr()
             assert code in (0, 2) and (code == 0) == (path.stem != "broken_chain"), path
             assert all(n == 1 for n in builds.values()), path
+            assert all(n == 1 for n in rows.values()), path
             tables += len(builds)
     assert tables >= 10
     assert per_call == Counter()
+
+
+# ---------------------------------------------------------------------------
+# Mechanism guard: one key, one walk and one integer image per distinct value
+# ---------------------------------------------------------------------------
+
+
+def _many_worlds(seed: int) -> str:
+    """A document whose records carry genlib successors of the main world
+    (some equal to it), plus one world that differs from the main one only
+    inside an array, so its fingerprint collides with the main one's."""
+    rng = random.Random(f"many-worlds:{seed}")
+    main = genlib.scenario(rng, max_vectors=12)
+    worlds = [genlib.successor(rng, main) for _ in range(6)]
+    resources = tuple(replace(res, values=(res.values[0] + 1,)) for res in main.resources)
+    worlds.append(replace(main, resources=resources))
+    records = tuple(
+        replace(
+            _record(mechanisms=("threat",), actor_has_right=False, threat_scenario=world),
+            id=f"i_{k}",
+        )
+        for k, world in enumerate(worlds)
+    )
+    return serialize_document(ScenarioDocument(1, main, records, ()))
+
+
+@contextmanager
+def _walks():
+    """Every whole-scenario marshal, and the functioning and utilization walks."""
+    marshalled, walks = [], Counter()
+
+    def dumps(value, version):
+        if type(value) is dict and type(value.get("functionings")) is list:
+            marshalled.append(json.dumps(value, default=bytes.decode))
+        return marshal.dumps(value, version)
+
+    def counted(name, walk):
+        def count(*args):
+            walks[name] += 1
+            return walk(*args)
+
+        return count
+
+    functioning, pattern = scenario_io._FUNCTIONING, scenario_io._UTILIZATION
+    with patch.object(scenario_io, "marshal", SimpleNamespace(dumps=dumps)), patch.object(
+        functioning, "walk", counted("functioning", functioning.walk)
+    ), patch.object(pattern, "walk", counted("pattern", pattern.walk)):
+        yield marshalled, walks
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_distinct_value_is_paid_once(seed, tmp_path, capsys):
+    text = _many_worlds(seed)
+    raw = scenario_io._decode(text)
+    worlds = [raw["scenario"]] + [rec["threat_scenario"] for rec in raw["interactions"]]
+    # The decoder shares verbatim copies; the rest are bucketed by fingerprint.
+    distinct = list({id(world): world for world in worlds}.values())
+    prints = Counter(marshal.dumps(scenario_io._shape(w), 2) for w in distinct)
+    collided = [w for w in distinct if prints[marshal.dumps(scenario_io._shape(w), 2)] > 1]
+    walked = list({marshal.dumps(w, 2): w for w in reversed(distinct)}.values())
+    functionings = {
+        (len(w["schemas"]["B"]), marshal.dumps(item, 2))
+        for w in walked
+        for item in w["functionings"]
+    }
+    patterns = {
+        (frozenset(w["characteristics"]), frozenset(w["social"]), marshal.dumps(entry, 2))
+        for w in walked
+        for entry in w["utilization"]
+    }
+
+    with _walks() as (marshalled, walks):
+        doc, _ = parse_document(text)
+    # No scenario is marshalled whole unless its fingerprint collides.
+    assert len(collided) >= 2
+    assert sorted(marshalled) == sorted(json.dumps(w, default=bytes.decode) for w in collided)
+    assert walks == Counter(functioning=len(functionings), pattern=len(patterns))
+    assert len(functionings) < sum(len(w["functionings"]) for w in walked)
+
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    dedupes = []
+    real_dedupe = frontier.dedupe_by_value
+    with _scaling() as (builds, _, per_call, rows), patch.object(
+        frontier, "dedupe_by_value", lambda q: dedupes.append(1) or real_dedupe(q)
+    ):
+        assert cli.main(["judge", str(path)]) in (0, 1)
+    capsys.readouterr()
+    assert all(n == 1 for n in builds.values())
+    assert rows and all(n == 1 for n in rows.values())
+    assert dedupes == []
 
 
 @PROPERTY
@@ -497,7 +602,7 @@ def test_maps_on_two_scales_meet_on_ints(worlds):
     main, copy = worlds
     threat = _record(mechanisms=("threat",), actor_has_right=False, threat_scenario=copy)
     believed = _record(mechanisms=("misrepresentation",), believed_scenario=main)
-    with _scaling() as (builds, _, per_call):
+    with _scaling() as (builds, _, per_call, _rows):
         condition2(main, copy)
         detect_coercion(main, main, threat)
         detect_deception(copy, copy, believed)

@@ -712,6 +712,58 @@ class TestScenarioMemo:
             )
         ]
 
+    @staticmethod
+    def _walked(monkeypatch) -> list:
+        """The path of every scenario walk while the test runs."""
+        paths = []
+        walk = scenario_io._SCENARIO.walk
+
+        def counted(p, raw, path, ctx=None, outer=None):
+            paths.append(path)
+            return walk(p, raw, path, ctx, outer)
+
+        monkeypatch.setattr(scenario_io._SCENARIO, "walk", counted)
+        return paths
+
+    def test_serialized_copies_share_the_main_scenario(self, monkeypatch):
+        # serialize_document indents a record's copy deeper than the main
+        # scenario, so the decoder cannot share it: only the marshal key can.
+        obj = base_doc()
+        _with_copies(obj, "believed_scenario", [obj["scenario"], obj["scenario"]])
+        doc, _ = parse_obj(obj)
+        text = serialize_document(doc)
+        raw = scenario_io._decode(text)
+        assert raw["interactions"][0]["believed_scenario"] is not raw["scenario"]
+        walked = self._walked(monkeypatch)
+        doc, _ = parse_document(text)
+        assert [rec.believed_scenario is doc.scenario for rec in doc.interactions] == [True] * 2
+        assert walked == ["$.scenario"]
+
+    def test_reordered_copy_is_walked_separately(self, monkeypatch):
+        obj = base_doc()
+        reordered = dict(reversed(list(obj["scenario"].items())))
+        _with_copies(obj, "believed_scenario", [reordered])
+        walked = self._walked(monkeypatch)
+        doc, _ = parse_obj(obj)
+        believed = doc.interactions[0].believed_scenario
+        assert believed == doc.scenario and believed is not doc.scenario
+        assert walked == ["$.scenario", "$.interactions[0].believed_scenario"]
+
+    def test_integer_for_boolean_copy_is_walked_and_diagnosed_at_its_path(self, monkeypatch):
+        obj = base_doc()
+        obj["scenario"]["functionings"][0]["unreachable"] = True
+        retyped = copy.deepcopy(obj["scenario"])
+        retyped["functionings"][0]["unreachable"] = 1
+        _with_copies(obj, "believed_scenario", [obj["scenario"], retyped])
+        walked = self._walked(monkeypatch)
+        assert self._diagnostics(obj) == [
+            (
+                "$.interactions[1].believed_scenario.functionings[0].unreachable",
+                "expected true or false, got number",
+            )
+        ]
+        assert walked == ["$.scenario", "$.interactions[1].believed_scenario"]
+
     def test_nesting_past_the_marshal_bound_is_a_json_error(self):
         obj = base_doc()
         obj["scenario"]["theta"] = "@@"
@@ -816,6 +868,20 @@ class TestDocumentShape:
         obj["extras"] = {}
         diag = expect_error(obj, "$", "unknown field 'extras'")
         assert "valid fields" in diag.message
+
+    def test_unknown_field_of_a_long_kind_names_the_closest(self):
+        # A scenario's or a record's list of fields is too long to print.
+        obj = base_doc()
+        obj["scenario"]["agent"] = "ada"
+        obj["scenario"]["mood"] = "sunny"
+        obj["interactions"] = [_interaction_obj(zz_actor_id="beau")]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_obj(obj)
+        assert [str(d) for d in excinfo.value.diagnostics] == [
+            "error: $.scenario: unknown field 'agent'; did you mean 'agent_id'?",
+            "error: $.scenario: unknown field 'mood'",
+            "error: $.interactions[0]: unknown field 'zz_actor_id'; did you mean 'actor_id'?",
+        ]
 
     def test_lenient_downgrades_unknown_fields_only(self):
         obj = base_doc()
@@ -1811,7 +1877,9 @@ class TestVerbatimCopies:
         doc, _ = parse_document(json.dumps(obj))
         decoded = [v for v in scanned if type(v) is dict and "agent_id" in v]
         assert decoded == worlds
-        assert keyed == worlds
+        # The four fingerprints differ, so each world is keyed by its
+        # fingerprint alone and none is marshalled whole.
+        assert keyed == [scenario_io._shape(world) for world in worlds]
         recs = doc.records_by_id()
         assert recs["i_0"].believed_scenario is doc.scenario
         for k in range(4, 16):
