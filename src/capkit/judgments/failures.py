@@ -18,6 +18,7 @@ from ..model.freedom import (
     access_profile,
     compute_freedom,
     compute_real_freedom,
+    freedom_values,
     maximal_plans,
     maximal_transient,
 )
@@ -82,8 +83,7 @@ def paternalism_check(
             (),
             ({"kind": "intent", "intent": rec.intent},),
         )
-    q_before = compute_freedom(before)
-    restricted = value_set(compute_freedom(after)) < value_set(q_before)
+    restricted = freedom_values(after) < freedom_values(before)
     if not restricted and rec.promoted_outcome is None:
         return PaternalismResult(
             "not_paternalistic",
@@ -113,7 +113,9 @@ def paternalism_check(
             }
         )
         if rec.actor_estimate_of_target_values is not None:
-            m_est = maximal_of_distinct(q_before, rec.actor_estimate_of_target_values)
+            m_est = maximal_of_distinct(
+                compute_freedom(before), rec.actor_estimate_of_target_values
+            )
             evidence.append(
                 {
                     "kind": "actor_estimate",

@@ -54,6 +54,7 @@ from ..model.freedom import (
     access_profile,
     compute_freedom,
     compute_real_freedom,
+    freedom_values,
     maximal_plans,
     maximal_real_freedom,
     maximal_transient,
@@ -72,8 +73,12 @@ def unmatched(
     the counterexamples to the universal clause ∀b∈S ∃b'∈S'.
 
     Passing M(S') under w_after as ``s_prime`` gives the same list, since
-    any b' ⪰ b lies under some maximal a* ⪰ b.  The engine does so.
+    any b' ⪰ b lies under some maximal a* ⪰ b.  The engine does so.  A
+    set matched against itself under one valuation, as an after-world that
+    shares its before-world's M is, matches every member by itself.
     """
+    if s_set is s_prime and w_before is w_after:
+        return []
     (before, after), _, _ = scaled_images([(s_set, w_before), (s_prime, w_after)])
     return [b for b, ok in zip(s_set, covered(before, after)) if not ok]
 
@@ -147,9 +152,10 @@ def _side_improves(
     theta: Optional[Sequence[Fraction]] = None,
     require_change: bool = True,
 ) -> bool:
-    """:func:`improves` between two scenario sides, on their cached frontiers."""
+    """:func:`improves` between two scenario sides, on their cached frontiers.
+    An after-world that shares its before-world's set is unchanged at once."""
     (s_set, m_s, w), (s_prime, m_s_prime, w_after) = before, after
-    if require_change and value_set(s_set) == value_set(s_prime):
+    if require_change and (s_set is s_prime or value_set(s_set) == value_set(s_prime)):
         return False
     images, _, theta = scaled_images([(s_set, w), (m_s, w), (m_s_prime, w_after)], theta)
     return _clauses_hold(*images, theta)
@@ -350,7 +356,7 @@ def assistance_life_plans(before: Scenario, after: Scenario) -> bool:
     (``theta_p``), the comparison is threshold-sensitive; otherwise it is
     plain Pareto.
     """
-    if value_set(compute_freedom(before)) == value_set(compute_freedom(after)):
+    if freedom_values(before) == freedom_values(after):
         return False
     return _side_improves(
         _m_under_v(before),

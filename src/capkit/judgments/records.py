@@ -7,14 +7,13 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ..errors import DeltaError, TraceError
-from ..model.freedom import compute_freedom
+from ..model.freedom import freedom_values, note_delta
 from ..model.types import (
     FunctioningVector,
     ResourceVector,
     Scenario,
     UtilizationEntry,
     ValuationMap,
-    value_set,
 )
 
 
@@ -79,14 +78,15 @@ def apply_interaction(s: Scenario, rec: InteractionRecord) -> Scenario:
     context offsets, utilization removals, then utilization additions.
     Removing a resource silently disables utilization entries that depended
     on it; every other dangling reference is an error.  An empty delta
-    yields a scenario equal to the input.
+    yields a scenario equal to the input.  The result records the patterns
+    the delta touches, so its Q and M are derived from ``s``'s
+    (:func:`~capkit.model.freedom.note_delta`).
     """
     d = rec.deltas
 
+    present = {res.id for res in s.resources}
     removed = _removal_set(
-        d.resources_removed,
-        {res.id for res in s.resources},
-        f"interaction {rec.id!r} removes unknown resource",
+        d.resources_removed, present, f"interaction {rec.id!r} removes unknown resource"
     )
     resources = [res for res in s.resources if res.id not in removed]
     surviving_ids = {res.id for res in resources}
@@ -130,6 +130,26 @@ def apply_interaction(s: Scenario, rec: InteractionRecord) -> Scenario:
         for u in s.utilization
         if u.pattern_id not in removed and u.resource_id in surviving_ids
     ]
+    dropped = []
+    if len(utilization) < len(s.utilization):
+        dropped = [
+            u
+            for u in s.utilization
+            if u.pattern_id in removed or u.resource_id not in surviving_ids
+        ]
+    # A kept entry on a resource s lacked, or guarded on a shifted component,
+    # may change liveness: it is rechecked (see model.freedom).
+    revived = surviving_ids - present
+    shifted = {("characteristics", k) for k, x in d.characteristics_delta.items() if x}
+    shifted.update(("social", k) for k, x in d.social_delta.items() if x)
+    rechecked = []
+    if revived or shifted:
+        rechecked = [
+            u
+            for u in utilization
+            if u.resource_id in revived
+            or (u.guards and not shifted.isdisjoint([(g.context, g.component) for g in u.guards]))
+        ]
     existing_patterns = {u.pattern_id for u in utilization}
     for entry in d.utilization_added:
         if entry.pattern_id in existing_patterns:
@@ -157,13 +177,15 @@ def apply_interaction(s: Scenario, rec: InteractionRecord) -> Scenario:
         utilization.append(entry)
         existing_patterns.add(entry.pattern_id)
 
-    return replace(
+    after = replace(
         s,
         resources=tuple(resources),
         characteristics=characteristics,
         social=social,
-        utilization=tuple(utilization),
+        utilization=tuple(utilization) if dropped or d.utilization_added else s.utilization,
     )
+    note_delta(after, s, dropped, rechecked, d.utilization_added)
+    return after
 
 
 @dataclass(frozen=True)
@@ -242,7 +264,7 @@ def _chain_trace(
                     "in the functioning catalog"
                 )
         choice = after.functioning(step.target_choice)
-        if choice.value_key not in value_set(compute_freedom(after)):
+        if choice.value_key not in freedom_values(after):
             raise TraceError(
                 f"trace {trace.id!r} step {index} target_choice "
                 f"{step.target_choice!r} is not realizable after the step"

@@ -4,29 +4,205 @@ Besides M(Q) under v (the maximal plans), each scenario caches the two
 other frontiers the improvement quantifiers reduce to: M(Q) under u and
 M(Q*) under r.  Q and Q* are distinct by value already, so their frontiers
 are taken without a second deduplication.
+
+Q is read from a per-scenario table of producers: for each value, the
+catalog ids that live patterns yield with it, and how many live patterns
+yield each id.  A value's representative is its smallest id.
+
+An after-world pays for its delta.  :func:`note_delta` records on it the
+patterns its delta touches: the patterns it drops, the kept patterns whose
+resource was added or whose guard reads a shifted context component, and
+the patterns it adds.  Every other pattern is live in the after-world
+exactly when it is live in the before-world.  So when the before-world
+already holds its table, the after-world's table is a copy of it with the
+touched patterns counted out against the before-world and back in against
+the after-world.  Only sets the before-world already caches are used, so
+deriving never recurses along a chain; without them a table is walked from
+scratch.  An after-world holds its before-world until its table is made,
+and only weakly after that, so a chain keeps none of its earlier worlds
+alive; Q and M are derived from the before-world's only while it lives.
+
+When the delta changes no value or representative of Q, the after-world
+shares its before-world's table and every set the before-world caches
+(hash-consing at the scenario level).
+
+M(after) is derived where the before-world caches M; M(Q) under u is
+derived the same way.  Every value of Q(before) outside M(before) is
+strictly dominated by a member of M(before), since Q is finite and strict
+dominance is transitive.  If the delta removes no value of M(before),
+those members all stay in Q(after).  So every kept value outside
+M(before) stays dominated, and a value of Q(after) that strictly beats a
+candidate is a candidate or is beaten by one.  M(after) is then the
+frontier of the candidates: M(before) with its representatives updated,
+and the values the delta added.  It is M(before) itself when nothing was
+added and no maximal representative changed.  When the delta removes a
+value of M(before), the frontier is taken over all of Q(after).
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from operator import attrgetter
+from typing import Iterable, Optional
 
 from .frontier import maximal_of_distinct, meeting, scaled_images
-from .types import FunctioningVector, Scenario, dedupe_by_value
+from .types import FunctioningVector, Scenario, UtilizationEntry
+
+_ID = attrgetter("id")
+# The "changes" of a world not derived from a before-world.
+_UNDERIVED = (lambda: None, (frozenset(),) * 3)
 
 
 def _per_scenario(fn):
-    """Compute fn(s) once per (frozen) scenario and cache it on the instance."""
+    """Compute fn(s) once per (frozen) scenario and cache it on the instance,
+    under fn's name.
+
+    Every such set is a function of Q and of the maps, thresholds and
+    schemas a delta leaves alone, so a world whose delta changed no value
+    or representative of Q takes its before-world's cached set as it is.
+    """
+    name = fn.__name__
 
     @functools.wraps(fn)
     def cached(s: Scenario):
-        if fn not in s._derived:
-            s._derived[fn] = fn(s)
-        return s._derived[fn]
+        derived = s._derived
+        if name not in derived:
+            held, changes = _from_before(s, name)
+            derived[name] = fn(s) if held is None or any(changes) else held
+        return derived[name]
 
     return cached
+
+
+def note_delta(
+    after: Scenario,
+    before: Scenario,
+    dropped: Iterable[UtilizationEntry],
+    rechecked: Iterable[UtilizationEntry],
+    added: Iterable[UtilizationEntry],
+) -> None:
+    """Record that ``after`` is ``before`` with one delta applied, and the
+    patterns it touches: those of ``before`` it drops, those both hold whose
+    liveness may differ, and those it adds.  Nothing is computed here.
+
+    ``after`` must differ from ``before`` only in its resources, context
+    vectors and patterns.
+    """
+    after._derived["delta"] = (before, dropped, rechecked, added)
+
+
+def _liveness(s: Scenario):
+    """The resource ids present in s, and ``holds(guard)`` against s's
+    context vectors; each distinct guard is evaluated once."""
+    verdicts: dict = {}
+
+    def holds(g) -> bool:
+        key = (g.context, g.component, g.min.numerator, g.min.denominator)
+        ok = verdicts.get(key)
+        if ok is None:
+            ok = verdicts[key] = s.context_value(g.context, g.component) >= g.min
+        return ok
+
+    return {res.id for res in s.resources}, holds
+
+
+def walk_producers(s: Scenario) -> dict:
+    """The producer table of s, walked from scratch over every pattern."""
+    present, holds = _liveness(s)
+    table: dict = {}
+    for entry in s.utilization:
+        if entry.resource_id in present and (not entry.guards or all(map(holds, entry.guards))):
+            fv = s.functioning(entry.output)
+            ids = table.get(fv.value_key)
+            if ids is None:
+                table[fv.value_key] = {fv.id: 1}
+            else:
+                ids[fv.id] = ids.get(fv.id, 0) + 1
+    return table
+
+
+def _derive_producers(after: Scenario, note) -> tuple[dict, tuple]:
+    """after's producer table from its before-world's, and the values the
+    delta removed, added, and gave a new representative."""
+    before, dropped, rechecked, added = note
+    old = before._derived["producers"]
+
+    def liveness(s: Scenario):
+        present, holds = _liveness(s)
+        return lambda entry: entry.resource_id in present and all(map(holds, entry.guards))
+
+    was_live, is_live = liveness(before), liveness(after)
+    steps = [(entry, -1) for entry in dropped if was_live(entry)]
+    steps += [(entry, is_live(entry) - was_live(entry)) for entry in rechecked]
+    steps += [(entry, 1) for entry in added if is_live(entry)]
+    steps = [(entry, step) for entry, step in steps if step]
+    removed, appeared, moved = set(), set(), set()
+    if not steps:
+        return old, (removed, appeared, moved)
+    table = dict(old)
+    owned: set = set()  # values whose id counts this table holds a copy of
+    for entry, step in steps:
+        fv = after.functioning(entry.output)
+        key = fv.value_key
+        if key not in owned:
+            owned.add(key)
+            table[key] = dict(table.get(key, ()))
+        ids = table[key]
+        ids[fv.id] = ids.get(fv.id, 0) + step
+        if not ids[fv.id]:
+            del ids[fv.id]
+    for key in owned:
+        ids, old_ids = table[key], old.get(key)
+        if not ids:
+            del table[key]
+            if old_ids:
+                removed.add(key)
+        elif not old_ids:
+            appeared.add(key)
+        elif min(ids) != min(old_ids):
+            moved.add(key)
+    return table, (removed, appeared, moved)
+
+
+def _producers(s: Scenario) -> dict:
+    """``value_key -> {functioning id: live patterns yielding it}``, cached
+    on s; derived from the before-world's table where it holds one."""
+    derived = s._derived
+    table = derived.get("producers")
+    if table is None:
+        note = derived.pop("delta", None)
+        if note is not None and "producers" in note[0]._derived:
+            table, changes = _derive_producers(s, note)
+            derived["changes"] = (weakref.ref(note[0]), changes)
+        else:
+            table = walk_producers(s)
+        derived["producers"] = table
+    return table
+
+
+def _from_before(s: Scenario, name: str):
+    """The set ``name`` as cached on the before-world s was derived from
+    (None when there is none), and the values the delta removed, added, and
+    gave a new representative."""
+    _producers(s)  # derives s from its before-world, where it can
+    ref, changes = s._derived.get("changes", _UNDERIVED)
+    before = ref()
+    return (None if before is None else before._derived.get(name)), changes
+
+
+def _representatives(s: Scenario, keys) -> list[FunctioningVector]:
+    """The representative (smallest id) of each value of Q in keys."""
+    table, fv_of = _producers(s), s._fv_by_id
+    return [fv_of[min(table[key])] for key in keys]
+
+
+@_per_scenario
+def freedom_values(s: Scenario) -> frozenset:
+    """The distinct values of Q, as :attr:`FunctioningVector.value_key`."""
+    return frozenset(_producers(s))
 
 
 @_per_scenario
@@ -35,20 +211,10 @@ def compute_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
 
     A pattern is live when its resource is present in the scenario and all of
     its lower-bound guards hold against the context vectors.  The result is
-    deduplicated by vector value and ordered by representative id, so equal
-    inputs always enumerate identically.
+    deduplicated by vector value, keeping the smallest id of each value, and
+    ordered by id, so equal inputs always enumerate identically.
     """
-    present = {res.id for res in s.resources}
-    reachable = []
-    for entry in s.utilization:
-        if entry.resource_id not in present:
-            continue
-        if all(
-            s.context_value(g.context, g.component) >= g.min for g in entry.guards
-        ):
-            reachable.append(s.functioning(entry.output))
-    deduped = dedupe_by_value(reachable)
-    return tuple(sorted(deduped.values(), key=lambda fv: fv.id))
+    return tuple(sorted(_representatives(s, _producers(s)), key=_ID))
 
 
 @_per_scenario
@@ -57,10 +223,22 @@ def compute_real_freedom(s: Scenario) -> tuple[FunctioningVector, ...]:
     return tuple(meeting(compute_freedom(s), s.r, s.theta.values))
 
 
+def _frontier_of_q(s: Scenario, name: str, w) -> tuple[FunctioningVector, ...]:
+    """M(Q) under w, derived from the before-world's cached set ``name``
+    where the delta removed none of its values (see the module docstring)."""
+    m_before, (removed, appeared, moved) = _from_before(s, name)
+    if m_before is None or not removed.isdisjoint(fv.value_key for fv in m_before):
+        return maximal_of_distinct(compute_freedom(s), w)
+    if not appeared and moved.isdisjoint(fv.value_key for fv in m_before):
+        return m_before
+    keys = [fv.value_key for fv in m_before] + list(appeared)
+    return maximal_of_distinct(_representatives(s, keys), w)
+
+
 @_per_scenario
 def maximal_plans(s: Scenario) -> tuple[FunctioningVector, ...]:
     """The maximal set M: members of Q whose v-image nothing in Q strictly beats."""
-    return maximal_of_distinct(compute_freedom(s), s.v)
+    return _frontier_of_q(s, "maximal_plans", s.v)
 
 
 @_per_scenario
@@ -68,7 +246,7 @@ def maximal_transient(s: Scenario) -> tuple[FunctioningVector, ...]:
     """M(Q) under the transient valuation u: M itself when u is v's map."""
     if "u" not in s.maps:
         return maximal_plans(s)
-    return maximal_of_distinct(compute_freedom(s), s.u)
+    return _frontier_of_q(s, "maximal_transient", s.u)
 
 
 @_per_scenario

@@ -232,6 +232,12 @@ class ThresholdVector:
     values: tuple[Fraction, ...]
 
 
+class _CatalogIndex(dict):
+    """Functionings by id, and the catalog tuple they were indexed from."""
+
+    __slots__ = ("catalog",)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One agent's complete, finite situation.
@@ -266,9 +272,12 @@ class Scenario:
     _derived: dict = field(default=None, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_fv_by_id", {fv.id: fv for fv in self.functionings}
-        )
+        # replace() passes the old instance's index in; keep it only for the
+        # very catalog tuple it was built over.
+        if getattr(self._fv_by_id, "catalog", None) is not self.functionings:
+            index = _CatalogIndex((fv.id, fv) for fv in self.functionings)
+            index.catalog = self.functionings
+            object.__setattr__(self, "_fv_by_id", index)
         # replace() passes the old instance's cache in; never inherit it.
         object.__setattr__(self, "_derived", {})
 

@@ -190,8 +190,18 @@ class _DocumentDecoder(json.JSONDecoder):
     def __init__(self, **kw):
         super().__init__(**kw)
         self._scan = self.scan_once  # the C scanner
-        self.scan_once = self._document
         self._recent: list[tuple[str, object]] = []  # (text, value), most recent first
+
+    def decode(self, s, *args, **kwargs):
+        # ``scan_once`` bound to this decoder is a reference cycle; it lives
+        # only for the decode, so the decoder and its texts go with the last
+        # reference, not at the next collection.
+        self.scan_once = self._document
+        try:
+            return super().decode(s, *args, **kwargs)
+        finally:
+            self.scan_once = self._scan
+            self._recent.clear()
 
     def _object(self, s, idx, scan_value):
         """An object scanned in Python, its values read by ``scan_value``;

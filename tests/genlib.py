@@ -15,6 +15,7 @@ import random
 import re
 from fractions import Fraction
 
+from capkit.judgments.records import InteractionDeltas
 from capkit.model.types import (
     Dimension,
     DimensionSchema,
@@ -346,4 +347,101 @@ def successor(rng: random.Random, base: Scenario) -> Scenario:
         maps=maps,
         theta=base.theta,
         theta_p=base.theta_p,
+    )
+
+
+OFFSET_POOL: tuple[Fraction, ...] = (
+    Fraction(-1),
+    Fraction(-1, 2),
+    Fraction(0),
+    Fraction(1, 2),
+    Fraction(1),
+)
+
+
+def _live_outputs(s: Scenario) -> dict[str, list[str]]:
+    """Catalog id -> pattern ids that yield it live in s, by direct loop."""
+    present = {res.id for res in s.resources}
+    ctx = {"characteristics": s.characteristics, "social": s.social}
+    out: dict[str, list[str]] = {}
+    for entry in s.utilization:
+        if entry.resource_id in present and all(
+            ctx[g.context][g.component] >= g.min for g in entry.guards
+        ):
+            out.setdefault(entry.output, []).append(entry.pattern_id)
+    return out
+
+
+def deltas(rng: random.Random, s: Scenario) -> InteractionDeltas:
+    """A random delta that applies to ``s``.
+
+    It may remove patterns and resources, add resources (a removed id may
+    come back), shift each context component by an offset from
+    ``OFFSET_POOL`` (zero included), and add patterns, some guarded, under
+    new or just-removed ids.  With some probability it also adds a pattern
+    for a catalog id equal in value to, and smaller than, a live option's
+    id, and removes every live producer of a v-maximal value.
+    """
+    live = _live_outputs(s)
+    present = [res.id for res in s.resources]
+    patterns = [entry.pattern_id for entry in s.utilization]
+    removed_patterns = {pid for pid in patterns if rng.random() < 0.2}
+    if live and rng.random() < 0.3:
+        # The live option whose v-image has the largest sum is v-maximal.
+        top = max(sorted(live), key=lambda fid: sum(s.v.apply(s.functioning(fid))))
+        for fid, pids in live.items():
+            if s.functioning(fid).values == s.functioning(top).values:
+                removed_patterns.update(pids)
+
+    removed_resources = [rid for rid in present if rng.random() < 0.15]
+    surviving = [rid for rid in present if rid not in removed_resources]
+    added_resources = []
+    for k in range(rng.choice((0, 0, 1, 2))):
+        rid = rng.choice(removed_resources) if removed_resources and k == 0 else f"xd{k}"
+        if rid not in surviving:
+            added_resources.append(
+                ResourceVector(id=rid, values=vector(rng, len(s.resource_schema)))
+            )
+            surviving.append(rid)
+
+    characteristics = {
+        name: rng.choice(OFFSET_POOL) for name in s.characteristics if rng.random() < 0.4
+    }
+    social = {name: rng.choice(OFFSET_POOL) for name in s.social if rng.random() < 0.4}
+
+    outputs = [rng.choice(s.functionings).id for _ in range(rng.randint(0, 3))]
+    if live and rng.random() < 0.4:
+        for fid in sorted(live):
+            twins = [
+                fv.id
+                for fv in s.functionings
+                if fv.values == s.functioning(fid).values and fv.id < fid
+            ]
+            if twins:
+                outputs.append(twins[0])
+                break
+    taken = {pid for pid in patterns if pid not in removed_patterns}
+    added_patterns = []
+    for k, fid in enumerate(outputs):
+        reused = sorted(removed_patterns - taken)
+        pid = reused[0] if reused and rng.random() < 0.3 else f"gd{k}"
+        if pid in taken or not surviving:
+            continue
+        guards: tuple[Guard, ...] = ()
+        if rng.random() < 0.4:
+            context = rng.choice(("characteristics", "social"))
+            names = sorted(s.characteristics if context == "characteristics" else s.social)
+            guards = (Guard(context, rng.choice(names), rng.choice(LEVEL_POOL)),)
+        added_patterns.append(
+            UtilizationEntry(pid, rng.choice(surviving), guards, fid)
+        )
+        taken.add(pid)
+
+    return InteractionDeltas(
+        resources_added=tuple(added_resources),
+        resources_removed=tuple(removed_resources),
+        characteristics_delta=characteristics,
+        social_delta=social,
+        utilization_added=tuple(added_patterns),
+        utilization_removed=tuple(sorted(removed_patterns)),
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import json.scanner
 import marshal
@@ -541,9 +542,9 @@ class TestScenarioMemo:
         assert recs["i_0"].threat_scenario is not doc.scenario
 
         walks = []
-        original = freedom.dedupe_by_value
+        original = freedom.walk_producers
         monkeypatch.setattr(
-            freedom, "dedupe_by_value", lambda q: walks.append(1) or original(q)
+            freedom, "walk_producers", lambda s: walks.append(1) or original(s)
         )
         q = freedom.compute_freedom(doc.scenario)
         assert freedom.compute_freedom(recs["i_0"].believed_scenario) is q
@@ -674,9 +675,9 @@ class TestScenarioMemo:
         assert believed[1] is doc.scenario
 
         walks = []
-        original = freedom.dedupe_by_value
+        original = freedom.walk_producers
         monkeypatch.setattr(
-            freedom, "dedupe_by_value", lambda q: walks.append(1) or original(q)
+            freedom, "walk_producers", lambda s: walks.append(1) or original(s)
         )
         q = freedom.compute_freedom(doc.scenario)
         assert all(freedom.compute_freedom(b) is q for b in believed)
@@ -1900,6 +1901,25 @@ class TestVerbatimCopies:
         assert text.compared <= scenario_io._RECENT_SPANS * 2 * 4000
         assert sum(type(v) is dict for v in scanned) == 4001  # one `{}` deltas
         assert _same(decoded, json.loads(text, **_HOOKS))
+
+    @pytest.mark.parametrize("fixture", ["domination.trc", "grocery.scn"])
+    def test_no_decoder_outlives_its_parse(self, fixture):
+        """A decoder holds its recent texts and their values; without a
+        reference cycle it goes with the parse, not at the next collection,
+        even when the parse fails."""
+        text = (FIXTURES / fixture).read_text()
+        gc.collect()
+        gc.disable()
+        try:
+            parse_document(text)
+            try:
+                parse_document(text[:-20])
+            except DocumentError:
+                pass
+            alive = [o for o in gc.get_objects() if isinstance(o, scenario_io._DocumentDecoder)]
+        finally:
+            gc.enable()
+        assert alive == []
 
 
 _DOC = json.dumps(dict(base_doc(), interactions=[_interaction_obj()]))
