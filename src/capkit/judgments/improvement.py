@@ -45,6 +45,7 @@ equality and the sat sets are unchanged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -59,7 +60,7 @@ from ..model.freedom import (
     maximal_real_freedom,
     maximal_transient,
 )
-from ..model.frontier import Valuation, covered, scaled_images, skyline, strictly_beaten
+from ..model.frontier import Valuation, covered, maximal_set, scaled_images, strictly_beaten
 from ..model.types import FunctioningVector, Scenario, ValuationMap, value_set
 
 
@@ -83,13 +84,6 @@ def unmatched(
     return [b for b, ok in zip(s_set, covered(before, after)) if not ok]
 
 
-def _clauses_hold(before, m_before, m_after, theta) -> bool:
-    """The ∀∃ clause over M(S) × M(S') and the strict ∃∃ clause over
-    S × M(S'), on int images (all of S, and the two frontiers) and θ on
-    their scale."""
-    return all(covered(m_before, m_after)) and strictly_beaten(before, m_after, theta)
-
-
 def improves(
     s_set: Sequence[FunctioningVector],
     s_prime: Sequence[FunctioningVector],
@@ -105,28 +99,28 @@ def improves(
     components, and θ's, must be ``numbers.Rational`` (a float raises
     :class:`ValuationError`, a length mismatch :class:`SchemaError`).  The
     strict ∃∃ clause uses Pareto ≻, or the strict threshold preference when
-    ``theta`` is given; the ∀∃ clause is Pareto ⪰ either way.  Each image is
-    computed once, and the frontiers M(S) and M(S') are found from those
-    images; the clauses are then checked on them as the module docstring
-    sets out.  Empty S is never improved on: the universal clause is
-    vacuous but the existential clause has nothing to witness.
+    ``theta`` is given; the ∀∃ clause is Pareto ⪰ either way.  Each side's
+    frontier is its :func:`~capkit.model.frontier.maximal_set`, and the
+    clauses are checked on the frontiers as the module docstring sets out,
+    by the path the scenario judgments take.  A callable valuation is
+    cached for the call, so each image is computed once.  Empty S is never
+    improved on: the universal clause is vacuous but the existential clause
+    has nothing to witness.
     """
     if require_change and value_set(s_set) == value_set(s_prime):
         return False
-    (before, after), _, theta = scaled_images(
-        [(s_set, w), (s_prime, w if w_after is None else w_after)], theta
-    )
-    return _clauses_hold(
-        before,
-        [before[i] for i in skyline(before)],
-        [after[i] for i in skyline(after)],
-        theta,
-    )
+    sides = []
+    for vectors, valuation in ((s_set, w), (s_prime, w if w_after is None else w_after)):
+        if not isinstance(valuation, ValuationMap):
+            valuation = functools.cache(valuation)
+        sides.append((vectors, maximal_set(vectors, valuation), valuation))
+    return _side_improves(*sides, theta=theta, require_change=False)
 
 
 # A side of a comparison: a set, its frontier under the side's valuation,
-# and that valuation.  The frontiers come from the per-scenario cache.
-_Side = tuple[Sequence[FunctioningVector], Sequence[FunctioningVector], ValuationMap]
+# and that valuation.  A scenario's sides read their frontiers from the
+# per-scenario cache.
+_Side = tuple[Sequence[FunctioningVector], Sequence[FunctioningVector], Valuation]
 
 
 def _q_under_u(s: Scenario) -> _Side:
@@ -152,13 +146,17 @@ def _side_improves(
     theta: Optional[Sequence[Fraction]] = None,
     require_change: bool = True,
 ) -> bool:
-    """:func:`improves` between two scenario sides, on their cached frontiers.
-    An after-world that shares its before-world's set is unchanged at once."""
+    """:func:`improves` between two sides, each a set, its frontier under the
+    side's valuation, and that valuation.  An after-world that shares its
+    before-world's set is unchanged at once."""
     (s_set, m_s, w), (s_prime, m_s_prime, w_after) = before, after
     if require_change and (s_set is s_prime or value_set(s_set) == value_set(s_prime)):
         return False
-    images, _, theta = scaled_images([(s_set, w), (m_s, w), (m_s_prime, w_after)], theta)
-    return _clauses_hold(*images, theta)
+    (ints, m_ints, m_prime_ints), _, theta = scaled_images(
+        [(s_set, w), (m_s, w), (m_s_prime, w_after)], theta
+    )
+    # The ∀∃ clause over M(S) × M(S') and the strict ∃∃ clause over S × M(S').
+    return all(covered(m_ints, m_prime_ints)) and strictly_beaten(ints, m_prime_ints, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,12 @@ def apply_interaction(s: Scenario, rec: InteractionRecord) -> Scenario:
 
     Application order is fixed: resource removals, resource additions,
     context offsets, utilization removals, then utilization additions.
-    Removing a resource silently disables utilization entries that depended
-    on it; every other dangling reference is an error.  An empty delta
-    yields a scenario equal to the input.  The result records the patterns
-    the delta touches, so its Q and M are derived from ``s``'s
+    A kept utilization entry survives when its resource is present after
+    all of the resource changes: removing a resource silently disables the
+    entries on it, unless the same delta adds it back.  Every other
+    dangling reference is an error.  An empty delta yields a scenario equal
+    to the input.  The result records the patterns the delta drops and
+    adds, so its Q and M are derived from ``s``'s
     (:func:`~capkit.model.freedom.note_delta`).
     """
     d = rec.deltas
@@ -137,19 +139,6 @@ def apply_interaction(s: Scenario, rec: InteractionRecord) -> Scenario:
             for u in s.utilization
             if u.pattern_id in removed or u.resource_id not in surviving_ids
         ]
-    # A kept entry on a resource s lacked, or guarded on a shifted component,
-    # may change liveness: it is rechecked (see model.freedom).
-    revived = surviving_ids - present
-    shifted = {("characteristics", k) for k, x in d.characteristics_delta.items() if x}
-    shifted.update(("social", k) for k, x in d.social_delta.items() if x)
-    rechecked = []
-    if revived or shifted:
-        rechecked = [
-            u
-            for u in utilization
-            if u.resource_id in revived
-            or (u.guards and not shifted.isdisjoint([(g.context, g.component) for g in u.guards]))
-        ]
     existing_patterns = {u.pattern_id for u in utilization}
     for entry in d.utilization_added:
         if entry.pattern_id in existing_patterns:
@@ -184,7 +173,7 @@ def apply_interaction(s: Scenario, rec: InteractionRecord) -> Scenario:
         social=social,
         utilization=tuple(utilization) if dropped or d.utilization_added else s.utilization,
     )
-    note_delta(after, s, dropped, rechecked, d.utilization_added)
+    note_delta(after, s, dropped, d.utilization_added)
     return after
 
 
@@ -228,8 +217,6 @@ def materialize_trace(
     interaction or functioning, declares a choice outside the step's
     freedom set, or a step's deltas no longer apply to the chained scenario.
     """
-    if not trace.steps:
-        raise TraceError(f"trace {trace.id!r} has no steps")
     return tuple(_chain_trace(base, records, trace))
 
 
@@ -240,6 +227,8 @@ def _chain_trace(
 ) -> Iterator[MaterializedStep]:
     """The steps of :func:`materialize_trace`, each chained when it is asked
     for: a step's TraceError is raised only once the steps before it are out."""
+    if not trace.steps:
+        raise TraceError(f"trace {trace.id!r} has no steps")
     current = base
     for index, step in enumerate(trace.steps):
         rec = records.get(step.interaction)

@@ -9,18 +9,21 @@ Q is read from a per-scenario table of producers: for each value, the
 catalog ids that live patterns yield with it, and how many live patterns
 yield each id.  A value's representative is its smallest id.
 
-An after-world pays for its delta.  :func:`note_delta` records on it the
-patterns its delta touches: the patterns it drops, the kept patterns whose
-resource was added or whose guard reads a shifted context component, and
-the patterns it adds.  Every other pattern is live in the after-world
-exactly when it is live in the before-world.  So when the before-world
-already holds its table, the after-world's table is a copy of it with the
-touched patterns counted out against the before-world and back in against
-the after-world.  Only sets the before-world already caches are used, so
-deriving never recurses along a chain; without them a table is walked from
-scratch.  An after-world holds its before-world until its table is made,
-and only weakly after that, so a chain keeps none of its earlier worlds
-alive; Q and M are derived from the before-world's only while it lives.
+An after-world pays for its delta.  :func:`note_delta` records on it its
+before-world and the patterns its delta drops and adds.  This module finds
+the kept patterns whose liveness may differ from the two worlds alone:
+those on a resource only the after-world holds, and those guarded on a
+context component whose value differs between the worlds (the kept
+patterns are scanned only when there is one).  Every other kept pattern is
+live in the after-world exactly when it is live in the before-world.  So
+when the before-world already holds its table, the after-world's table is
+a copy of it with the touched patterns counted out against the
+before-world and back in against the after-world.  Only sets the
+before-world already caches are used, so deriving never recurses along a
+chain; without them a table is walked from scratch.  An after-world holds
+its before-world until its table is made, and only weakly after that, so
+a chain keeps none of its earlier worlds alive; Q and M are derived from
+the before-world's only while it lives.
 
 When the delta changes no value or representative of Q, the after-world
 shares its before-world's table and every set the before-world caches
@@ -46,10 +49,10 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .frontier import maximal_of_distinct, meeting, scaled_images
-from .types import FunctioningVector, Scenario, UtilizationEntry
+from .types import GUARD_CONTEXTS, FunctioningVector, Scenario, UtilizationEntry
 
 _ID = attrgetter("id")
 # The "changes" of a world not derived from a before-world.
@@ -80,23 +83,24 @@ def _per_scenario(fn):
 def note_delta(
     after: Scenario,
     before: Scenario,
-    dropped: Iterable[UtilizationEntry],
-    rechecked: Iterable[UtilizationEntry],
-    added: Iterable[UtilizationEntry],
+    dropped: Sequence[UtilizationEntry],
+    added: Sequence[UtilizationEntry],
 ) -> None:
-    """Record that ``after`` is ``before`` with one delta applied, and the
-    patterns it touches: those of ``before`` it drops, those both hold whose
-    liveness may differ, and those it adds.  Nothing is computed here.
+    """Record that ``after`` is ``before`` with one delta applied, which
+    drops the patterns ``dropped`` of ``before`` and adds ``added``.
+    Nothing is computed here.
 
     ``after`` must differ from ``before`` only in its resources, context
     vectors and patterns.
     """
-    after._derived["delta"] = (before, dropped, rechecked, added)
+    after._derived["delta"] = (before, dropped, added)
 
 
 def _liveness(s: Scenario):
-    """The resource ids present in s, and ``holds(guard)`` against s's
-    context vectors; each distinct guard is evaluated once."""
+    """The resource ids present in s, and the predicate "this pattern is
+    live in s": its resource is present and every guard holds against s's
+    context vectors.  Each distinct guard is evaluated once."""
+    present = {res.id for res in s.resources}
     verdicts: dict = {}
 
     def holds(g) -> bool:
@@ -106,15 +110,18 @@ def _liveness(s: Scenario):
             ok = verdicts[key] = s.context_value(g.context, g.component) >= g.min
         return ok
 
-    return {res.id for res in s.resources}, holds
+    def live(entry: UtilizationEntry) -> bool:
+        return entry.resource_id in present and (not entry.guards or all(map(holds, entry.guards)))
+
+    return present, live
 
 
 def walk_producers(s: Scenario) -> dict:
     """The producer table of s, walked from scratch over every pattern."""
-    present, holds = _liveness(s)
+    _, live = _liveness(s)
     table: dict = {}
     for entry in s.utilization:
-        if entry.resource_id in present and (not entry.guards or all(map(holds, entry.guards))):
+        if live(entry):
             fv = s.functioning(entry.output)
             ids = table.get(fv.value_key)
             if ids is None:
@@ -127,16 +134,29 @@ def walk_producers(s: Scenario) -> dict:
 def _derive_producers(after: Scenario, note) -> tuple[dict, tuple]:
     """after's producer table from its before-world's, and the values the
     delta removed, added, and gave a new representative."""
-    before, dropped, rechecked, added = note
+    before, dropped, added = note
     old = before._derived["producers"]
-
-    def liveness(s: Scenario):
-        present, holds = _liveness(s)
-        return lambda entry: entry.resource_id in present and all(map(holds, entry.guards))
-
-    was_live, is_live = liveness(before), liveness(after)
+    (was_present, was_live), (present, is_live) = _liveness(before), _liveness(after)
     steps = [(entry, -1) for entry in dropped if was_live(entry)]
-    steps += [(entry, is_live(entry) - was_live(entry)) for entry in rechecked]
+    # A kept pattern on a revived resource, or guarded on a shifted
+    # component, may change liveness.
+    revived = present - was_present
+    shifted = {
+        (context, k)
+        for context in GUARD_CONTEXTS
+        for k, x in getattr(after, context).items()
+        if getattr(before, context).get(k) != x
+    }
+    if revived or shifted:
+        fresh = {entry.pattern_id for entry in added}
+        for entry in after.utilization:
+            if entry.pattern_id not in fresh and (
+                entry.resource_id in revived
+                or (entry.guards and not shifted.isdisjoint(
+                    [(g.context, g.component) for g in entry.guards]
+                ))
+            ):
+                steps.append((entry, is_live(entry) - was_live(entry)))
     steps += [(entry, 1) for entry in added if is_live(entry)]
     steps = [(entry, step) for entry, step in steps if step]
     removed, appeared, moved = set(), set(), set()

@@ -87,20 +87,19 @@ class FunctioningVector:
     after an interaction); validators use it to suppress the orphan
     warning.
 
-    ``value_key`` is ``value_key_of(values)``, built at construction unless
-    given; it stands for the values wherever vectors are hashed or compared
-    for equality.  The parser passes one shared key per distinct vector;
-    ``dataclasses.replace`` with new values must pass ``value_key=None``.
+    ``value_key`` is ``value_key_of(values)``, computed at construction and
+    never passed in, so a vector made by ``dataclasses.replace`` has the key
+    of its own values; it stands for the values wherever vectors are hashed
+    or compared for equality.
     """
 
     id: str
     values: tuple[Fraction, ...]
     unreachable: bool = False
-    value_key: tuple[int, ...] = field(default=None, repr=False, compare=False)
+    value_key: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.value_key is None:
-            object.__setattr__(self, "value_key", value_key_of(self.values))
+        object.__setattr__(self, "value_key", value_key_of(self.values))
 
 
 def value_key_of(values) -> tuple[int, ...]:
@@ -172,6 +171,8 @@ class ValuationMap:
     Maps are read-only, like :class:`Scenario`: the frontier kernels cache
     the stored images' integer table on the instance (empty when they are
     absent, ragged or not all rational; images it lacks are computed per call).
+    The table is not a constructor argument, so ``dataclasses.replace``
+    starts a map without one.
     ``_ints``, where given, memoizes integer images per (image tuple, scale);
     the parser gives the maps of one document one memo, so an image tuple
     they share is put on a scale once.
@@ -181,8 +182,8 @@ class ValuationMap:
     form: str
     entries: Optional[Mapping[str, tuple[Fraction, ...]]] = None
     matrix: Optional[tuple[tuple[Fraction, ...], ...]] = None
-    _table: object = field(default=None, repr=False, compare=False, hash=False)
     _ints: Optional[dict] = field(default=None, repr=False, compare=False, hash=False)
+    _table: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.map_id not in ("v", "r", "u"):
@@ -195,7 +196,6 @@ class ValuationMap:
                 raise SchemaError(f"linear map {self.map_id!r} has no matrix")
         else:
             raise SchemaError(f"valuation map form must be 'table' or 'linear', got {self.form!r}")
-        # replace() passes the old instance's table in; never inherit it.
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "images", {} if self.form == "linear" else None)
 
@@ -249,10 +249,12 @@ class Scenario:
     assistance test.
 
     Derived sets (Q, Q*, M, the access profile) are cached per instance, so
-    callers must treat the mapping fields as read-only.  The parser gives
-    equal scenario subtrees of one document one shared instance (a record's
-    believed scenario may be the document's scenario itself), so a change
-    made through one reference would show through all of them.
+    callers must treat the mapping fields as read-only; the cache is not a
+    constructor argument, so a scenario made by ``dataclasses.replace``
+    starts with none.  The parser gives equal scenario subtrees of one
+    document one shared instance (a record's believed scenario may be the
+    document's scenario itself), so a change made through one reference
+    would show through all of them.
     """
 
     agent_id: str
@@ -269,7 +271,7 @@ class Scenario:
     _fv_by_id: Mapping[str, FunctioningVector] = field(
         default=None, repr=False, compare=False, hash=False
     )
-    _derived: dict = field(default=None, repr=False, compare=False, hash=False)
+    _derived: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # replace() passes the old instance's index in; keep it only for the
@@ -278,7 +280,6 @@ class Scenario:
             index = _CatalogIndex((fv.id, fv) for fv in self.functionings)
             index.catalog = self.functionings
             object.__setattr__(self, "_fv_by_id", index)
-        # replace() passes the old instance's cache in; never inherit it.
         object.__setattr__(self, "_derived", {})
 
     # -- lookups -----------------------------------------------------------

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import marshal
 import sys
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -56,8 +57,8 @@ from .judgments.records import (
     InteractionRecord,
     Trace,
     TraceStep,
+    _chain_trace,
     apply_interaction,
-    materialize_trace,
 )
 from .errors import DeltaError, TraceError
 from .model.types import (
@@ -73,7 +74,6 @@ from .model.types import (
     ThresholdVector,
     UtilizationEntry,
     ValuationMap,
-    value_key_of,
 )
 from .rationals import (
     _ECHO_CHARS,
@@ -476,7 +476,6 @@ class _Parser:
         self._scenarios: dict[int, tuple] = {}
         self._worlds: dict[int, tuple] = {}  # id(raw) -> (raw, first equal raw)
         self._buckets: dict[bytes, list] = {}  # fingerprint -> [[raw, key or None], ...]
-        self._value_keys: dict[int, tuple] = {}
         self._ints: dict = {}
 
     # -- diagnostics -------------------------------------------------------
@@ -650,18 +649,6 @@ class _Parser:
                 return tuple(values) if ok else None
             values.append(hit[0])
         return tuple(values)
-
-    def value_key(self, values: tuple) -> tuple[int, ...]:
-        """``value_key_of(values)``, built once per distinct parsed vector.
-
-        :meth:`rational_vector` returns one tuple per distinct literal
-        vector, so the tuple's identity is the cache key; each entry holds
-        its tuple, so no identity is reused while the parser lives.
-        """
-        hit = self._value_keys.get(id(values))
-        if hit is None:
-            hit = self._value_keys[id(values)] = (values, value_key_of(values))
-        return hit[1]
 
     def named_rationals(self, value, path, ctx=None, got=None) -> Optional[dict]:
         obj = self.obj(value, path)
@@ -1109,7 +1096,7 @@ _FUNCTIONING = _Kind(
         _Row("values", *_VECTOR),
         _Row("unreachable", *_FLAG, False, True, _DEFAULT),
     ),
-    lambda p, got, path, width: FunctioningVector(**got, value_key=p.value_key(got["values"])),
+    _build(FunctioningVector),
 )
 _GUARD = _Kind(
     (_Row("context", *_TEXT), _Row("component", *_TEXT), _Row("min", *_RATIONAL)),
@@ -1299,7 +1286,9 @@ def deep_validate(doc: ScenarioDocument) -> list[Diagnostic]:
     records = doc.records_by_id()
     for i, trace in enumerate(doc.traces):
         try:
-            materialize_trace(doc.scenario, records, trace)
+            # Each step is dropped as soon as it is chained, so a long trace
+            # holds no more than the world it has reached.
+            deque(_chain_trace(doc.scenario, records, trace), maxlen=0)
         except TraceError as exc:
             diagnostics.append(Diagnostic("error", f"$.traces[{i}]", str(exc)))
     return diagnostics

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import genlib
 import oracle
 from capkit import cli
-from capkit.judgments import improvement
+from capkit.judgments import improvement, records
 from capkit.judgments.records import (
     InteractionDeltas,
     InteractionRecord,
@@ -36,7 +36,7 @@ from capkit.judgments.records import (
 from capkit.judgments.verdict import judge
 from capkit.model import freedom
 from capkit.model.types import ResourceVector, UtilizationEntry
-from capkit.scenario_io import parse_document
+from capkit.scenario_io import ScenarioDocument, deep_validate, parse_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -172,6 +172,39 @@ def test_an_added_resource_revives_the_patterns_that_named_it():
         assert {name: fn(after) for name, fn in ENGINE.items()} == _oracle(after)
 
 
+def test_freedom_finds_what_a_hand_built_delta_rechecks(monkeypatch):
+    """An after-world made by ``replace``, with one context component
+    shifted and one resource added, and noted with no dropped or added
+    pattern: freedom finds the kept patterns to re-check from the two worlds
+    alone, and derives Q, M and M under u equal to the oracle's."""
+    rng = random.Random(13)
+    while True:
+        base = genlib.scenario(rng, max_vectors=12)
+        reached = {fv.values for fv in oracle.freedom(base)}
+        unreached = [fv for fv in base.functionings if fv.values not in reached]
+        guards = [g for entry in base.utilization for g in entry.guards]
+        if unreached and guards:
+            g = guards[0]
+            shifted = {g.context: {**getattr(base, g.context), g.component: Fraction(-10)}}
+            if {fv.values for fv in oracle.freedom(replace(base, **shifted))} != reached:
+                break
+    spare = UtilizationEntry("f_spare", "x_spare", (), unreached[0].id)
+    before = replace(base, utilization=base.utilization + (spare,))
+    added = ResourceVector("x_spare", (Fraction(1),) * len(base.resource_schema))
+    after = replace(before, resources=before.resources + (added,), **shifted)
+    names = ("Q", "M", "M under u")
+    for name in names:
+        ENGINE[name](before)
+    walks = _walks(monkeypatch)
+    freedom.note_delta(after, before, (), ())
+    assert {name: ENGINE[name](after) for name in names} == {
+        name: _oracle(after)[name] for name in names
+    }
+    assert walks == []
+    q_after = {fv.values for fv in oracle.freedom(after)}
+    assert unreached[0].values in q_after and not reached <= q_after
+
+
 def test_worlds_share_the_catalog_index_of_their_catalog():
     rng = random.Random(8)
     base = genlib.scenario(rng, max_vectors=12)
@@ -290,3 +323,43 @@ def test_a_thousand_step_zero_offset_chain_validates_and_detects(tmp_path):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main([command, str(path)]) == 0, command
     assert len(json.loads(out.getvalue())["traces"][0]["steps"]) == 1000
+
+
+def test_validating_a_long_chain_keeps_two_worlds_alive(monkeypatch):
+    """``deep_validate`` drops each step as soon as it is chained: along a
+    200-step chain whose steps change Q, at most two after-worlds are alive
+    at once."""
+    rng = random.Random(60)
+    base = genlib.scenario(rng, max_vectors=12)
+    assert oracle.freedom(base)
+    chain, steps, world, changed = {}, [], base, 0
+    for k in range(200):
+        q = {fv.values for fv in oracle.freedom(world)}
+        for _ in range(20):  # draw a delta that changes Q and leaves a choice
+            deltas = genlib.deltas(rng, world)
+            after = apply_interaction(world, _record(deltas))
+            if q != {fv.values for fv in oracle.freedom(after)} != set():
+                changed += 1
+                break
+        else:
+            deltas = InteractionDeltas()
+            after = apply_interaction(world, _record(deltas))
+        choice = rng.choice(oracle.freedom(after)).id
+        chain[f"i{k}"] = _record(deltas, f"i{k}")
+        steps.append(TraceStep(f"i{k}", choice, choice))
+        world = after
+    assert changed >= 190
+    worlds, alive = [], []
+    original = records.apply_interaction
+
+    def counted(s, rec):
+        after = original(s, rec)
+        worlds.append(weakref.ref(after))
+        alive.append(sum(ref() is not None for ref in worlds))
+        return after
+
+    monkeypatch.setattr(records, "apply_interaction", counted)
+    doc = ScenarioDocument(1, base, tuple(chain.values()), (Trace("t", tuple(steps)),))
+    assert deep_validate(doc) == []
+    assert len(alive) == 200
+    assert max(alive) <= 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,19 @@ from hypothesis import strategies as st
 from capkit.errors import SchemaError, ValuationError
 from capkit.model.frontier import integer_images, maximal_set, skyline
 from capkit.model.order import dominates, strictly_dominates, theta_prefers
-from capkit.model.types import FunctioningVector, ValuationMap, dedupe_by_value
+from capkit.model.types import FunctioningVector, Scenario, ValuationMap, dedupe_by_value
+import genlib
 from oracle import _strict, _theta_strict, _weak, naive_maximal_set
 
 F = Fraction
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def _scenario_fields() -> dict:
+    """The constructor arguments of a generated scenario."""
+    s = genlib.scenario(random.Random(0))
+    return {f.name: getattr(s, f.name) for f in fields(Scenario) if f.init}
 
 
 def _vec(fv_id: str, *vals) -> FunctioningVector:
@@ -220,6 +229,25 @@ class TestIntegerScaleIsExact:
         key_b = FunctioningVector("b", b).value_key
         assert (key_a == key_b) == (a == b)
         assert all(type(n) is int for n in key_a)
+
+    def test_replace_gives_the_key_of_the_new_values(self):
+        old = _vec("a", 1, 2)
+        new = replace(old, values=(F(1, 2), F(3)))
+        assert new.value_key == (1, 2, 3, 1) == FunctioningVector("b", new.values).value_key
+        assert len(dedupe_by_value([old, new])) == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FunctioningVector("a", (F(1),), value_key=(1, 1)),
+            lambda: ValuationMap("v", "table", entries={}, _table=({}, None, None)),
+            lambda: Scenario(**_scenario_fields(), _derived={}),
+        ],
+        ids=["value_key", "_table", "_derived"],
+    )
+    def test_caches_are_not_constructor_arguments(self, make):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            make()
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.lists(st.tuples(rationals, rationals), max_size=10))

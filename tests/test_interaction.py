@@ -151,8 +151,11 @@ class TestApplyInteraction:
 
     def test_removal_applies_before_addition(self):
         # Swapping out a resource under the same id is a removal followed by
-        # an addition, in that order.
+        # an addition, in that order.  A kept pattern survives when its
+        # resource is present after all of the resource changes, so f_ride
+        # stays, live as before.
         base = _base_scenario()
+        compute_freedom(base)
         deltas = InteractionDeltas(
             resources_removed=("x_bike",),
             resources_added=(ResourceVector("x_bike", (F(3),)),),
@@ -161,6 +164,9 @@ class TestApplyInteraction:
         assert [r for r in after.resources if r.id == "x_bike"] == [
             ResourceVector("x_bike", (F(3),))
         ]
+        assert after.utilization == base.utilization
+        assert [fv.id for fv in compute_freedom(after)] == ["b_ride", "b_walk"]
+        assert [fv.id for fv in oracle.freedom(after)] == ["b_walk", "b_ride"]
 
     def test_pattern_swap_same_id(self):
         base = _base_scenario()
@@ -183,9 +189,8 @@ class TestApplyInteraction:
         assert after.schemas == base.schemas
 
     def test_after_scenario_does_not_inherit_derived_sets(self):
-        # replace() copies every init field, the derived-set cache included;
-        # the after-scenario must recompute Q, Q*, the three frontiers and
-        # the access profile.
+        # The after-scenario starts with its own derived-set cache, and must
+        # give its own Q, Q*, three frontiers and access profile.
         rest = UtilizationEntry(
             "f_rest", "x_bike", (Guard("characteristics", "fitness", F(2)),), "b_rest"
         )
