@@ -13,15 +13,12 @@ from .failures import (
 from .improvement import (
     AssistanceFlags,
     BeneficenceFlags,
-    Condition1Result,
-    Condition2Result,
     ConditionResult,
     assistance_life_plans,
     assistance_real_freedom,
     classify_beneficence,
     condition1,
     condition2,
-    improves,
 )
 from .records import (
     InteractionDeltas,
@@ -37,8 +34,6 @@ from .verdict import TraceVerdict, Verdict, detect_trace, judge
 __all__ = [
     "AssistanceFlags",
     "BeneficenceFlags",
-    "Condition1Result",
-    "Condition2Result",
     "ConditionResult",
     "DominationResult",
     "Finding",
@@ -61,7 +56,6 @@ __all__ = [
     "detect_domination",
     "detect_exploitation",
     "detect_trace",
-    "improves",
     "judge",
     "materialize_trace",
     "paternalism_check",

@@ -283,7 +283,10 @@ def detect_deception(
     if value_set(m_believed) & value_set(m_true):
         return None
 
-    true_by_value = {fv.value_key: fv for fv in after.functionings}
+    # Each value's smallest id, the one every other reported set names.
+    true_by_value: dict = {}
+    for fv in sorted(after.functionings, key=lambda fv: fv.id):
+        true_by_value.setdefault(fv.value_key, fv)
     q_true_values = value_set(q_true)
     present = [
         true_by_value[b.value_key] for b in m_believed if b.value_key in true_by_value

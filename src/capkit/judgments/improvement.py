@@ -35,17 +35,15 @@ instead of S'.  Its S side stays whole wherever the unmatched elements
 themselves are reported.  The oracle keeps the raw formulas.
 
 The clauses compare int tuples, not Fractions, through the kernels of
-:mod:`~capkit.model.frontier`.  Each side is read from one table, a map's
-cached one or a callable's transient one: column k is multiplied by the
-lcm D_k of its denominators.  Before and after an interaction share their
-map objects, hence their table; tables on two scales meet on the column
-lcm L, with θ on it as ⌈θ_k·L_k⌉.  All factors are positive, so ⪰, ≻,
-equality and the sat sets are unchanged.
+:mod:`~capkit.model.frontier`.  Each side is read from its map's table:
+column k is multiplied by the lcm D_k of its denominators.  Before and
+after an interaction share their map objects, hence their table; tables on
+two scales meet on the column lcm L, with θ on it as ⌈θ_k·L_k⌉.  All
+factors are positive, so ⪰, ≻, equality and the sat sets are unchanged.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -60,15 +58,15 @@ from ..model.freedom import (
     maximal_real_freedom,
     maximal_transient,
 )
-from ..model.frontier import Valuation, covered, maximal_set, scaled_images, strictly_beaten
+from ..model.frontier import covered, scaled_images, strictly_beaten
 from ..model.types import FunctioningVector, Scenario, ValuationMap, value_set
 
 
 def unmatched(
     s_set: Sequence[FunctioningVector],
     s_prime: Sequence[FunctioningVector],
-    w_before: Valuation,
-    w_after: Valuation,
+    w_before: ValuationMap,
+    w_after: ValuationMap,
 ) -> list[FunctioningVector]:
     """Members b of S with no b' in S' such that w_after(b') ⪰ w_before(b):
     the counterexamples to the universal clause ∀b∈S ∃b'∈S'.
@@ -84,43 +82,10 @@ def unmatched(
     return [b for b, ok in zip(s_set, covered(before, after)) if not ok]
 
 
-def improves(
-    s_set: Sequence[FunctioningVector],
-    s_prime: Sequence[FunctioningVector],
-    w: Valuation,
-    w_after: Optional[Valuation] = None,
-    *,
-    theta: Optional[Sequence[Fraction]] = None,
-    require_change: bool = True,
-) -> bool:
-    """Does S' improve on S?
-
-    S is valued under w and S' under ``w_after`` (w when omitted); image
-    components, and θ's, must be ``numbers.Rational`` (a float raises
-    :class:`ValuationError`, a length mismatch :class:`SchemaError`).  The
-    strict ∃∃ clause uses Pareto ≻, or the strict threshold preference when
-    ``theta`` is given; the ∀∃ clause is Pareto ⪰ either way.  Each side's
-    frontier is its :func:`~capkit.model.frontier.maximal_set`, and the
-    clauses are checked on the frontiers as the module docstring sets out,
-    by the path the scenario judgments take.  A callable valuation is
-    cached for the call, so each image is computed once.  Empty S is never
-    improved on: the universal clause is vacuous but the existential clause
-    has nothing to witness.
-    """
-    if require_change and value_set(s_set) == value_set(s_prime):
-        return False
-    sides = []
-    for vectors, valuation in ((s_set, w), (s_prime, w if w_after is None else w_after)):
-        if not isinstance(valuation, ValuationMap):
-            valuation = functools.cache(valuation)
-        sides.append((vectors, maximal_set(vectors, valuation), valuation))
-    return _side_improves(*sides, theta=theta, require_change=False)
-
-
 # A side of a comparison: a set, its frontier under the side's valuation,
 # and that valuation.  A scenario's sides read their frontiers from the
 # per-scenario cache.
-_Side = tuple[Sequence[FunctioningVector], Sequence[FunctioningVector], Valuation]
+_Side = tuple[Sequence[FunctioningVector], Sequence[FunctioningVector], ValuationMap]
 
 
 def _q_under_u(s: Scenario) -> _Side:
@@ -146,9 +111,14 @@ def _side_improves(
     theta: Optional[Sequence[Fraction]] = None,
     require_change: bool = True,
 ) -> bool:
-    """:func:`improves` between two sides, each a set, its frontier under the
-    side's valuation, and that valuation.  An after-world that shares its
-    before-world's set is unchanged at once."""
+    """Does S' improve on S?  Each side is a set, its frontier under the
+    side's valuation, and that valuation.
+
+    The strict ∃∃ clause uses Pareto ≻, or the strict threshold preference
+    when ``theta`` is given; the ∀∃ clause is Pareto ⪰ either way.  Empty S
+    is never improved on: the universal clause is vacuous but the
+    existential clause has nothing to witness.  An after-world that shares
+    its before-world's set is unchanged at once."""
     (s_set, m_s, w), (s_prime, m_s_prime, w_after) = before, after
     if require_change and (s_set is s_prime or value_set(s_set) == value_set(s_prime)):
         return False
@@ -180,9 +150,6 @@ class ConditionResult:
     @property
     def violated(self) -> bool:
         return self.status == "violated"
-
-
-Condition1Result = Condition2Result = ConditionResult
 
 
 def _profile_comparison(before: AccessProfile, after: AccessProfile) -> list[dict]:

@@ -2,7 +2,7 @@
 
 from .freedom import AccessProfile, DimensionAccess, access_profile, compute_freedom, compute_real_freedom
 from .frontier import maximal_set
-from .order import dominates, sat_set, strictly_dominates, theta_prefers
+from .order import dominates, strictly_dominates, theta_prefers
 from .types import (
     GUARD_CONTEXTS,
     INTENTS,
@@ -42,7 +42,6 @@ __all__ = [
     "dedupe_by_value",
     "dominates",
     "maximal_set",
-    "sat_set",
     "strictly_dominates",
     "theta_prefers",
 ]

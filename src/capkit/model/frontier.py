@@ -27,15 +27,13 @@ from itertools import chain
 from math import lcm
 from numbers import Rational
 from operator import attrgetter, ge
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..errors import SchemaError, ValuationError
 from .types import FunctioningVector, ValuationMap, dedupe_by_value
 
-Valuation = Union[ValuationMap, Callable[[FunctioningVector], tuple]]
 Ints = list[tuple[int, ...]]
 _ID = attrgetter("id")
-_NO_TABLE = ({}, None, _ID)
 
 
 def _same_width(widths: set[int]) -> None:
@@ -102,22 +100,22 @@ def _build_table(w: ValuationMap):
     return table, scale, attrgetter(key)
 
 
-def _table(w: Valuation):
+def _table(w: ValuationMap):
     if not isinstance(w, ValuationMap):
-        return _NO_TABLE
+        raise TypeError(f"a valuation must be a ValuationMap, not {type(w).__name__}")
     if w._table is None:
         object.__setattr__(w, "_table", _build_table(w))
     return w._table
 
 
-def _group_ints(fvs: Sequence[FunctioningVector], w: Valuation):
+def _group_ints(fvs: Sequence[FunctioningVector], w: ValuationMap):
     """Int images of fvs under w and their scale: read from w's cached table
     when it holds every one, else from a transient table of their images."""
     table, scale, key = _table(w)
     try:
         return [table[key(fv)] for fv in fvs], scale
     except KeyError:
-        return integer_images(list(map(w.apply if isinstance(w, ValuationMap) else w, fvs)))
+        return integer_images(list(map(w.apply, fvs)))
 
 
 def _theta_on(scale: Sequence[int], theta: Sequence[Rational]) -> tuple[int, ...]:
@@ -131,7 +129,7 @@ def _theta_on(scale: Sequence[int], theta: Sequence[Rational]) -> tuple[int, ...
 
 
 def scaled_images(
-    groups: Sequence[tuple[Sequence[FunctioningVector], Valuation]],
+    groups: Sequence[tuple[Sequence[FunctioningVector], ValuationMap]],
     theta: Optional[Sequence[Rational]] = None,
 ) -> tuple[list[Ints], tuple[int, ...], Optional[tuple[int, ...]]]:
     """Int images of each (vectors, valuation) group on one scale, the
@@ -200,7 +198,7 @@ def strictly_beaten(targets: Ints, candidates: Ints, theta=None) -> bool:
 
 
 def meeting(
-    fvs: Sequence[FunctioningVector], w: Valuation, theta: Sequence[Rational]
+    fvs: Sequence[FunctioningVector], w: ValuationMap, theta: Sequence[Rational]
 ) -> list[FunctioningVector]:
     """Members of fvs whose w-image meets every component of θ."""
     (ints,), _, theta = scaled_images([(fvs, w)], theta)
@@ -208,13 +206,15 @@ def meeting(
 
 
 def maximal_set(
-    q: Iterable[FunctioningVector], w: Valuation
+    q: Iterable[FunctioningVector], w: ValuationMap
 ) -> tuple[FunctioningVector, ...]:
     """Elements of q whose w-image no other element's image strictly dominates.
 
     Input is deduplicated by functioning-vector value; the maximal elements
     are found by :func:`skyline` over their int images, whose components
     must be ``numbers.Rational`` (a float raises :class:`ValuationError`).
+    w is a :class:`~capkit.model.types.ValuationMap`; anything else raises
+    :class:`TypeError`.
     Distinct vectors with equal images are all maximal or all not, and are
     all returned.  The result is ordered by id.
     """
@@ -222,7 +222,7 @@ def maximal_set(
 
 
 def maximal_of_distinct(
-    candidates: Sequence[FunctioningVector], w: Valuation
+    candidates: Sequence[FunctioningVector], w: ValuationMap
 ) -> tuple[FunctioningVector, ...]:
     """:func:`maximal_set` of vectors already distinct by value, such as a
     cached Q or Q*: they are not deduplicated again."""

@@ -4,8 +4,10 @@ These relations compare exact rational vectors componentwise.  Each puts
 its two or three vectors on one integer scale with
 :func:`~capkit.model.frontier.integer_images` and asks the kernels the
 judgments use, so the order laws property-tested here are the kernels'
-laws.  Components must be ``numbers.Rational``: a float raises
-:class:`ValuationError`, a length mismatch :class:`SchemaError`.
+laws.  The set of thresholds a vector meets, sat(x), is the kernel
+:func:`~capkit.model.frontier.sat` on that scale.  Components must be
+``numbers.Rational``: a float raises :class:`ValuationError`, a length
+mismatch :class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .frontier import covered, integer_images, sat, strictly_beaten
+from .frontier import covered, integer_images, strictly_beaten
 
 Vector = Sequence[Fraction]
 
@@ -28,12 +30,6 @@ def strictly_dominates(a: Vector, b: Vector) -> bool:
     """Strict Pareto dominance: a weakly dominates b and differs somewhere."""
     (ia, ib), _ = integer_images([a, b])
     return strictly_beaten([ib], [ia])
-
-
-def sat_set(x: Vector, theta: Vector) -> frozenset[int]:
-    """Indices of the threshold components that x meets or exceeds."""
-    (ix, itheta), _ = integer_images([x, theta])
-    return sat(ix, itheta)
 
 
 def theta_prefers(a: Vector, b: Vector, theta: Vector) -> bool:

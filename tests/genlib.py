@@ -14,8 +14,10 @@ import json
 import random
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 from capkit.judgments.records import InteractionDeltas
+from capkit.model.frontier import maximal_set
 from capkit.model.types import (
     Dimension,
     DimensionSchema,
@@ -109,6 +111,17 @@ def table_map(
             by_value[fv.values] = img
         entries[fv.id] = img
     return ValuationMap(map_id=map_id, form="table", entries=entries)
+
+
+def tabulate(vectors, image=attrgetter("values"), map_id: str = "v") -> ValuationMap:
+    """The table map that gives each vector of ``vectors`` the image
+    ``image(fv)``, by default its own values."""
+    return ValuationMap(map_id=map_id, form="table", entries={fv.id: image(fv) for fv in vectors})
+
+
+def side(vectors, w: ValuationMap) -> tuple:
+    """One side of an improvement judgment: a set, its frontier under w, and w."""
+    return vectors, maximal_set(vectors, w), w
 
 
 # Matrix entries of linear maps: small, signed, and sometimes fractional,

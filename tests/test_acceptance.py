@@ -153,7 +153,7 @@ def _frontier_case(rng, n, d):
                 break
         vectors.append(FunctioningVector(id=f"b{i:04d}", values=vals))
         images[vals] = tuple(rng.choice(POOL) for _ in range(d))
-    return vectors, (lambda fv: images[fv.values])
+    return vectors, genlib.tabulate(vectors, lambda fv: images[fv.values])
 
 
 @criterion(2, "skyline == naive frontier on 1000 scenarios, <30s")
@@ -269,7 +269,7 @@ def test_criterion_4_finite_maximality():
             if fv in members:
                 continue
             assert any(
-                strictly_dominates(tuple(w(keep)), tuple(w(fv))) for keep in m
+                strictly_dominates(w.apply(keep), w.apply(fv)) for keep in m
             ), f"excluded {fv.id} is not strictly dominated"
 
 

@@ -34,7 +34,7 @@ def _vec(fv_id: str, *vals) -> FunctioningVector:
 
 @st.composite
 def frontier_cases(draw):
-    """A vector set plus a value-consistent image function."""
+    """A vector set plus a value-consistent table map over it."""
     n_b = draw(st.integers(min_value=1, max_value=3))
     n_out = draw(st.integers(min_value=1, max_value=4))
     count = draw(st.integers(min_value=0, max_value=12))
@@ -48,7 +48,7 @@ def frontier_cases(draw):
     for fv in vectors:
         if fv.values not in images:
             images[fv.values] = draw(st.tuples(*([small] * n_out)))
-    return vectors, (lambda fv: images[fv.values])
+    return vectors, genlib.tabulate(vectors, lambda fv: images[fv.values])
 
 
 class TestAgainstReference:
@@ -63,7 +63,7 @@ class TestAgainstReference:
         result = maximal_set(q, w)
         for a in result:
             for b in result:
-                assert not strictly_dominates(tuple(w(a)), tuple(w(b)))
+                assert not strictly_dominates(w.apply(a), w.apply(b))
 
     @given(frontier_cases())
     def test_idempotent(self, case):
@@ -79,7 +79,7 @@ class TestAgainstReference:
         for fv in dedupe_by_value(q).values():
             if fv.id not in kept:
                 assert any(
-                    strictly_dominates(tuple(w(m)), tuple(w(fv))) for m in result
+                    strictly_dominates(w.apply(m), w.apply(fv)) for m in result
                 )
 
     @given(frontier_cases())
@@ -96,23 +96,23 @@ class TestEdgeCases:
 
     def test_singleton(self):
         q = (_vec("only", 1, 2),)
-        assert maximal_set(q, lambda fv: fv.values) == q
+        assert maximal_set(q, genlib.tabulate(q)) == q
 
     def test_all_equal_images_all_kept(self):
         # Distinct vectors mapping to the same image are incomparable under
         # strict dominance, so all of them are maximal.
         q = (_vec("a", 0, 1), _vec("b", 1, 0), _vec("c", 2, 2))
-        w = lambda fv: (F(1),)
+        w = genlib.tabulate(q, lambda fv: (F(1),))
         assert maximal_set(q, w) == q
 
     def test_duplicate_values_keep_smallest_id(self):
         q = (_vec("b09", 1, 1), _vec("b01", 1, 1), _vec("b05", 0, 0))
-        result = maximal_set(q, lambda fv: fv.values)
+        result = maximal_set(q, genlib.tabulate(q))
         assert [fv.id for fv in result] == ["b01"]
 
     def test_result_sorted_by_id(self):
         q = (_vec("z", 2, 0), _vec("a", 0, 2), _vec("m", 1, 1))
-        result = maximal_set(q, lambda fv: fv.values)
+        result = maximal_set(q, genlib.tabulate(q))
         assert [fv.id for fv in result] == ["a", "m", "z"]
 
     def test_incomparable_chain_example(self):
@@ -125,7 +125,7 @@ class TestEdgeCases:
             "hosted": (F(3), F(2)),
         }
         q = tuple(_vec(fv_id, i, 0) for i, fv_id in enumerate(sorted(images)))
-        w = lambda fv: images[fv.id]
+        w = ValuationMap(map_id="v", form="table", entries=images)
         assert [fv.id for fv in maximal_set(q, w)] == ["hosted", "simple"]
 
     def test_accepts_valuation_map(self):
@@ -137,7 +137,7 @@ class TestEdgeCases:
     def test_equal_sum_incomparable_pair(self):
         # Equal component sums exercise the tie-handling of the sorted scan.
         q = (_vec("a", 0, 2), _vec("b", 2, 0))
-        result = maximal_set(q, lambda fv: fv.values)
+        result = maximal_set(q, genlib.tabulate(q))
         assert [fv.id for fv in result] == ["a", "b"]
 
 
@@ -146,21 +146,24 @@ class TestImageChecks:
         # Lengths 2 and 1: a plain zip over the column scales would truncate.
         images = {"a": (F(1), F(1)), "b": (F(2),)}
         q = (_vec("a", 0), _vec("b", 1))
+        w = ValuationMap(map_id="v", form="table", entries=images)
         with pytest.raises(SchemaError, match="different lengths"):
-            maximal_set(q, lambda fv: images[fv.id])
+            maximal_set(q, w)
         with pytest.raises(SchemaError, match=r"different lengths \(1 vs 2\)"):
             integer_images([(F(1), F(1)), (F(2),)])
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None])
     def test_non_rational_component_raises_valuation_error(self, bad):
         q = (_vec("a", 0), _vec("b", 1))
+        w = genlib.tabulate(q, lambda fv: (F(1), bad if fv.id == "b" else F(0)))
         with pytest.raises(ValuationError, match="not an exact rational"):
-            maximal_set(q, lambda fv: (F(1), bad if fv.id == "b" else F(0)))
+            maximal_set(q, w)
 
     def test_non_rational_singleton_raises(self):
         # No pair is ever compared, and the component is still rejected.
+        q = (_vec("a", 0),)
         with pytest.raises(ValuationError, match="float"):
-            maximal_set((_vec("a", 0),), lambda fv: (0.5,))
+            maximal_set(q, genlib.tabulate(q, lambda fv: (0.5,)))
 
     def test_ints_and_fractions_share_a_scale(self):
         assert integer_images([(F(1, 2), 3), (F(-1, 3), F(2, 3))]) == (

@@ -33,7 +33,13 @@ from capkit.judgments.improvement import (
     condition2,
     unmatched,
 )
-from capkit.judgments.records import InteractionDeltas, InteractionRecord
+from capkit.judgments.records import (
+    InteractionDeltas,
+    InteractionRecord,
+    Trace,
+    TraceStep,
+    apply_interaction,
+)
 from capkit.model import frontier
 from capkit.model.freedom import access_profile, compute_freedom, compute_real_freedom
 from capkit.model.frontier import maximal_set, meeting
@@ -502,6 +508,50 @@ def test_fixtures_scale_each_map_once(capsys):
     assert per_call == Counter()
 
 
+def _linear_document() -> str:
+    """A genlib scenario whose three maps are linear, with a threat and a
+    deception record, each carrying a delta, chained into one trace."""
+    for seed in range(100):
+        rng = random.Random(f"linear-document:{seed}")
+        main = genlib.scenario(rng, with_u=True, linear=True)
+        if any(m.form != "linear" for m in main.maps.values()):
+            continue
+        threat, believed = genlib.successor(rng, main), genlib.successor(rng, main)
+        world, records, steps = main, [], []
+        for k, rec in enumerate((
+            _record(mechanisms=("threat",), actor_has_right=False, threat_scenario=threat),
+            _record(mechanisms=("misrepresentation",), believed_scenario=believed),
+        )):
+            rec = replace(rec, id=f"i_{k}", deltas=genlib.deltas(rng, world))
+            world = apply_interaction(world, rec)
+            q = oracle.freedom(world)
+            if not q:
+                break
+            records.append(rec)
+            steps.append(TraceStep(rec.id, q[0].id, q[-1].id))
+        else:
+            trace = Trace("t_linear", tuple(steps))
+            return serialize_document(ScenarioDocument(1, main, tuple(records), (trace,)))
+    raise AssertionError("no seed gave an all-linear document with a trace")
+
+
+def test_parsed_documents_never_take_the_transient_path(tmp_path, capsys):
+    """Every map of a parsed document holds the images the commands ask
+    for, so no command puts images on a scale outside a map's table."""
+    linear = tmp_path / "linear.json"
+    linear.write_text(_linear_document())
+    documents = sorted(FIXTURES.glob("*.scn")) + [linear]
+    runs = [["judge", p] for p in documents]
+    runs += [["frontier", "--set", name, p] for name in ("Q", "Qstar", "M") for p in documents]
+    runs += [["detect", p] for p in sorted(FIXTURES.glob("*.trc")) + [linear]]
+    with _scaling() as (_, _, per_call, _):
+        for args in runs:
+            code = cli.main([str(arg) for arg in args])
+            capsys.readouterr()
+            assert code in (0, 2) and (code == 0) == (args[-1].stem != "broken_chain"), args
+    assert per_call == Counter()
+
+
 # ---------------------------------------------------------------------------
 # Mechanism guard: one key, one walk and one integer image per distinct value
 # ---------------------------------------------------------------------------
@@ -612,17 +662,13 @@ def test_maps_on_two_scales_meet_on_ints(worlds):
     assert per_call == Counter()
 
 
-def test_callable_is_applied_once_per_vector():
-    calls = Counter()
-
-    def counted(fv):
-        calls[fv.id] += 1
-        return fv.values
-
+def test_a_callable_is_not_a_valuation():
     catalog = tuple(FunctioningVector(f"b{i}", (F(i, 2), F(3 - i, 3))) for i in range(6))
-    copies = tuple(FunctioningVector(f"c{i}", fv.values) for i, fv in enumerate(catalog))
-    assert len(maximal_set(catalog + copies, counted)) == 6
-    assert calls == Counter(fv.id for fv in catalog)
-    calls.clear()
-    assert [fv.id for fv in meeting(catalog, counted, (F(1), F(0)))] == ["b2", "b3"]
-    assert calls == Counter(fv.id for fv in catalog)
+    values = lambda fv: fv.values
+    for call in (
+        lambda: maximal_set(catalog, values),
+        lambda: meeting(catalog, values, (F(1), F(0))),
+        lambda: unmatched(catalog, catalog[:1], values, values),
+    ):
+        with pytest.raises(TypeError, match="must be a ValuationMap, not function"):
+            call()

@@ -26,12 +26,12 @@ from capkit.judgments.failures import (
     paternalism_check,
 )
 from capkit.judgments.improvement import (
+    _side_improves,
     assistance_life_plans,
     assistance_real_freedom,
     classify_beneficence,
     condition1,
     condition2,
-    improves,
     unmatched,
 )
 from capkit.judgments.records import (
@@ -42,6 +42,7 @@ from capkit.judgments.records import (
     materialize_trace,
 )
 from capkit.judgments.verdict import Verdict, judge
+from capkit.model import frontier
 from capkit.model.freedom import (
     compute_freedom,
     compute_real_freedom,
@@ -159,89 +160,109 @@ def _record(
     )
 
 
+def _improves(s, s_prime, w, w_after=None, **kwargs):
+    """Does S' improve on S, with S under w and S' under w_after (w when omitted)?"""
+    after = genlib.side(s_prime, w if w_after is None else w_after)
+    return _side_improves(genlib.side(s, w), after, **kwargs)
+
+
 class TestImproves:
     def test_universal_clause_can_fail(self):
         s = [_fv("a", 1, 1), _fv("b", 0, 5)]
         s_prime = [_fv("c", 2, 2)]
-        w = lambda fv: fv.values
+        w = genlib.tabulate(s + s_prime)
         # (2,2) covers (1,1) but nothing covers (0,5)
-        assert not improves(s, s_prime, w)
+        assert not _improves(s, s_prime, w)
 
     def test_strict_witness_required(self):
         s = [_fv("a", 1, 1)]
         same = [_fv("a2", 1, 1)]
         better = [_fv("a2", 1, 1), _fv("c", 2, 1)]
-        w = lambda fv: fv.values
-        assert not improves(s, same, w)
-        assert improves(s, better, w)
+        w = genlib.tabulate(s + better)
+        assert not _improves(s, same, w)
+        assert _improves(s, better, w)
 
     def test_change_guard(self):
         # Value-identical sets containing an internally dominated pair:
         # the raw formula would call this an improvement; the guard says no.
         s = [_fv("low", 0, 0), _fv("high", 1, 1)]
         s_prime = [_fv("low2", 0, 0), _fv("high2", 1, 1)]
-        w = lambda fv: fv.values
-        assert not improves(s, s_prime, w)
-        assert improves(s, s_prime, w, require_change=False)
+        w = genlib.tabulate(s + s_prime)
+        assert not _improves(s, s_prime, w)
+        assert _improves(s, s_prime, w, require_change=False)
 
     def test_empty_before_set_never_improved(self):
-        assert not improves([], [_fv("a", 1)], lambda fv: fv.values)
+        s_prime = [_fv("a", 1)]
+        assert not _improves([], s_prime, genlib.tabulate(s_prime))
 
     def test_empty_after_set_never_improves(self):
-        assert not improves([_fv("a", 1)], [], lambda fv: fv.values)
+        s = [_fv("a", 1)]
+        assert not _improves(s, [], genlib.tabulate(s))
 
     def test_accepts_valuation_map(self):
         v = _table("v", {"a": (1,), "b": (2,)})
-        assert improves([_fv("a", 0)], [_fv("b", 1)], v)
+        assert _improves([_fv("a", 0)], [_fv("b", 1)], v)
 
     @pytest.mark.parametrize("separate_after", [False, True])
     @pytest.mark.parametrize("theta", [None, (F(1), F(1))])
-    def test_each_image_computed_at_most_once(self, theta, separate_after):
-        calls = Counter()
+    def test_each_image_computed_at_most_once(self, theta, separate_after, monkeypatch):
+        # Each map's images are put on ints once, into its cached table, and
+        # no image is looked up again through ``apply``.
+        builds, applied = Counter(), Counter()
+        real_build, real_apply = frontier._build_table, ValuationMap.apply
 
-        def counted(fv):
-            calls[fv.id] += 1
-            return fv.values
+        def build(w):
+            builds[id(w)] += 1
+            return real_build(w)
+
+        def apply(w, fv):
+            applied[fv.id] += 1
+            return real_apply(w, fv)
+
+        monkeypatch.setattr(frontier, "_build_table", build)
+        monkeypatch.setattr(ValuationMap, "apply", apply)
 
         s = [_fv("a", 0, 0), _fv("b", 1, 0)]
         s_prime = [_fv("c", 1, 1), _fv("d", 0, 1), _fv("e", 2, 0)]
-        w_after = counted if separate_after else None
-        assert improves(s, s_prime, counted, w_after, theta=theta)
-        assert max(calls.values()) == 1
-        calls.clear()
-        assert unmatched(s, s_prime, counted, counted) == []
-        assert max(calls.values()) == 1
-
+        w = genlib.tabulate(s + s_prime)
+        w_after = genlib.tabulate(s + s_prime) if separate_after else None
+        assert _improves(s, s_prime, w, w_after, theta=theta)
+        assert unmatched(s, s_prime, w, w if w_after is None else w_after) == []
+        assert list(builds.values()) == [1] * (1 + separate_after)
+        assert applied == Counter()
 
     def test_ragged_images_raise(self):
         s = [_fv("a", 1, 1)]
         s_prime = [_fv("b", 2)]
-        w = lambda fv: fv.values
+        w = genlib.tabulate(s + s_prime)
         with pytest.raises(SchemaError, match="different lengths"):
-            improves(s, s_prime, w)
+            _improves(s, s_prime, w)
         with pytest.raises(SchemaError, match="different lengths"):
             unmatched(s, s_prime, w, w)
         # Ragged within one side as well.
+        ragged = [_fv("c", 2, 2), _fv("d", 3)]
         with pytest.raises(SchemaError, match="different lengths"):
-            improves(s, [_fv("c", 2, 2), _fv("d", 3)], w)
+            _improves(s, ragged, genlib.tabulate(s + ragged))
 
     @pytest.mark.parametrize("theta", [(F(1),), (F(1), F(1), F(1))])
     def test_mis_sized_theta_raises(self, theta):
         s = [_fv("a", 0, 0)]
         s_prime = [_fv("b", 1, 1)]
         with pytest.raises(SchemaError, match="different lengths"):
-            improves(s, s_prime, lambda fv: fv.values, theta=theta)
+            _improves(s, s_prime, genlib.tabulate(s + s_prime), theta=theta)
 
     def test_non_rational_image_raises_valuation_error(self):
         s = [_fv("a", 0)]
         s_prime = [_fv("b", 1)]
-        floats = lambda fv: tuple(float(x) for x in fv.values)
+        w = genlib.tabulate(s + s_prime)
+        floats = genlib.tabulate(s + s_prime, lambda fv: tuple(float(x) for x in fv.values))
         with pytest.raises(ValuationError, match="float, not an exact rational"):
-            improves(s, s_prime, floats)
+            _improves(s, s_prime, floats)
         with pytest.raises(ValuationError, match="float, not an exact rational"):
-            unmatched(s, s_prime, lambda fv: fv.values, floats)
+            unmatched(s, s_prime, w, floats)
         with pytest.raises(ValuationError, match="float, not an exact rational"):
-            improves(s, s_prime, lambda fv: fv.values, theta=(0.5,))
+            _improves(s, s_prime, w, theta=(0.5,))
+
 
 def _naive_unmatched(s_set, s_prime, img_before, img_after):
     """The ∀∃ counterexamples by a plain scan of the whole of S'."""
@@ -276,14 +297,13 @@ class TestFrontierReduction:
             rng = random.Random((47_000 if linear else 46_000) + seed)
             before = genlib.scenario(rng, max_vectors=16, linear=linear)
             after = genlib.successor(rng, before)
-            for full, frontier, map_id in self.SIDES:
-                img_before = getattr(before, map_id).apply
-                img_after = getattr(after, map_id).apply
-                s_set, s_prime, m_prime = full(before), full(after), frontier(after)
-                expected = _naive_unmatched(s_set, s_prime, img_before, img_after)
-                assert unmatched(s_set, m_prime, img_before, img_after) == expected
+            for full, frontier_of, map_id in self.SIDES:
+                w_before, w_after = getattr(before, map_id), getattr(after, map_id)
+                s_set, s_prime, m_prime = full(before), full(after), frontier_of(after)
+                expected = _naive_unmatched(s_set, s_prime, w_before.apply, w_after.apply)
+                assert unmatched(s_set, m_prime, w_before, w_after) == expected
                 reduced += len(m_prime) < len(s_prime)
-                non_maximal += any(b not in frontier(before) for b in expected)
+                non_maximal += any(b not in frontier_of(before) for b in expected)
         assert reduced >= 300
         assert non_maximal >= 10
 
@@ -322,7 +342,10 @@ class TestFrontierReduction:
                 _record(mechanisms=("misrepresentation",), believed_scenario=believed),
             )
             if calls:  # reached only when the believed and true M are disjoint
-                true_by_value = {fv.values: fv for fv in after.functionings}
+                # Each value's smallest id, as the reported sets name it.
+                true_by_value = {}
+                for fv in sorted(after.functionings, key=lambda fv: fv.id):
+                    true_by_value.setdefault(fv.values, fv)
                 present = [
                     true_by_value[b.values]
                     for b in maximal_plans(believed)
@@ -861,6 +884,21 @@ class TestDeception:
         assert finding.severity == "serious"
         assert finding.evidence[1]["kind"] == "unmatched_believed_choice"
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["id_sorted", "reversed"])
+    def test_evidence_names_the_smallest_id_of_a_value(self, order):
+        # a_low and z_low share one value: every reported id is a_low.
+        catalog = [_fv("a_low", 0, 1), _fv("m_hi", 2, 2), _fv("z_low", 0, 1)][::order]
+        v = {"a_low": (1, 1), "m_hi": (2, 0), "z_low": (1, 1)}
+        r = {"a_low": (1,), "m_hi": (1,), "z_low": (1,)}
+        world = _scn(catalog, reachable=["m_hi"], v=v, r=r, theta=(1,))
+        believed = _scn(catalog, reachable=["a_low", "z_low"], v=v, r=r, theta=(1,))
+        rec = _record(mechanisms=("information_filtering",), believed_scenario=believed)
+        disjunction, unmatched_choice = detect_deception(world, world, rec).evidence
+        assert disjunction["believed_maximal_set"] == ["a_low"]
+        assert disjunction["true_maximal_set"] == ["m_hi"]
+        assert unmatched_choice["kind"] == "unmatched_believed_choice"
+        assert unmatched_choice["functioning"] == "a_low"
+
     def test_agreeing_maximal_choices_are_silent(self):
         world = self._true_world()
         believed = _scn(
@@ -1040,15 +1078,14 @@ class TestVerdict:
         from capkit.judgments.improvement import (
             AssistanceFlags,
             BeneficenceFlags,
-            Condition1Result,
-            Condition2Result,
+            ConditionResult,
         )
         from capkit.judgments.verdict import _check_evidence
 
         broken = Verdict(
             interaction_id="i_broken",
-            condition1=Condition1Result("violated", ()),
-            condition2=Condition2Result("pass", ({"kind": "maximal_plans_replaced"},)),
+            condition1=ConditionResult("violated", ()),
+            condition2=ConditionResult("pass", ({"kind": "maximal_plans_replaced"},)),
             beneficence=BeneficenceFlags(False, False, False),
             assistance=AssistanceFlags(False, False),
             paternalism=PaternalismResult(

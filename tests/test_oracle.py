@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import capkit
+import genlib
 import oracle
-from capkit.judgments.improvement import improves
+from capkit.judgments.improvement import _side_improves
 from capkit.model.frontier import maximal_set
 from capkit.model.types import FunctioningVector
 
@@ -36,8 +37,9 @@ class TestRawImproves:
         s = [_fv("low", 0, 0), _fv("high", 1, 1)]
         w = lambda fv: fv.values
         assert oracle.raw_improves(s, s, w)
-        assert not improves(s, s, w)
-        assert improves(s, s, w, require_change=False)
+        side = genlib.side(s, genlib.tabulate(s))
+        assert not _side_improves(side, side)
+        assert _side_improves(side, side, require_change=False)
 
     def test_unchanged_antichain_is_raw_false(self):
         s = [_fv("a", 1, 0), _fv("b", 0, 1)]
@@ -66,7 +68,7 @@ class TestNaiveMaximalSet:
             (_fv("dup1", 2, 2), _fv("dup0", 2, 2), _fv("low", 0, 0)),
         ]
         for q in cases:
-            w = lambda fv: fv.values
+            w = genlib.tabulate(q)
             assert oracle.naive_maximal_set(q, w) == maximal_set(q, w)
 
 

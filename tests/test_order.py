@@ -12,9 +12,16 @@ from hypothesis import strategies as st
 import genlib
 import oracle
 from capkit.errors import SchemaError, ValuationError
-from capkit.model.order import dominates, sat_set, strictly_dominates, theta_prefers
+from capkit.model.frontier import integer_images, sat
+from capkit.model.order import dominates, strictly_dominates, theta_prefers
 
 F = Fraction
+
+
+def sat_on_scale(x, theta) -> frozenset[int]:
+    """The ``sat`` kernel's answer for x, with x and θ put on one integer scale."""
+    (ix, itheta), _ = integer_images([x, theta])
+    return sat(ix, itheta)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -92,19 +99,21 @@ class TestDominance:
 class TestSatSet:
     def test_examples(self):
         theta = (F(1), F(1))
-        assert sat_set((F(1), F(0)), theta) == frozenset({0})
-        assert sat_set((F(0), F(0)), theta) == frozenset()
-        assert sat_set((F(2), F(1)), theta) == frozenset({0, 1})
+        assert sat_on_scale((F(1), F(0)), theta) == frozenset({0})
+        assert sat_on_scale((F(0), F(0)), theta) == frozenset()
+        assert sat_on_scale((F(2), F(1)), theta) == frozenset({0, 1})
+        assert sat_on_scale((F(1, 3), F(5, 4)), (F(1, 2), F(6, 5))) == frozenset({1})
 
     @given(pairs_with_theta)
     def test_monotone_under_dominance(self, case):
         a, b, theta = case
+        assert sat_on_scale(a, theta) == oracle._sat(a, theta)
         if dominates(a, b):
-            assert sat_set(a, theta) >= sat_set(b, theta)
+            assert sat_on_scale(a, theta) >= sat_on_scale(b, theta)
 
     def test_length_mismatch(self):
         with pytest.raises(SchemaError, match=r"different lengths \(1 vs 2\)"):
-            sat_set((F(1),), (F(1), F(1)))
+            sat_on_scale((F(1),), (F(1), F(1)))
 
 
 class TestThetaPreference:
@@ -160,7 +169,7 @@ class TestThetaPreference:
         (dominates, ((0.5,), (0,))),
         (dominates, ((F(1),), (0.5,))),
         (strictly_dominates, ((0.5,), (0,))),
-        (sat_set, ((F(1), F(1)), (F(0), 0.5))),
+        (sat_on_scale, ((F(1), F(1)), (F(0), 0.5))),
         (theta_prefers, ((F(1),), (F(0),), (0.5,))),
         (theta_prefers, ((F(1),), (1.0,), (F(0),))),
     ],

@@ -7,6 +7,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import capkit
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -14,9 +16,11 @@ TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
 
 class TestPublicSurface:
-    def test_every_advertised_name_resolves(self):
-        for name in capkit.__all__:
-            assert getattr(capkit, name) is not None, name
+    @pytest.mark.parametrize("module", ["capkit", "capkit.model", "capkit.judgments"])
+    def test_every_advertised_name_resolves(self, module):
+        package = importlib.import_module(module)
+        for name in package.__all__:
+            assert getattr(package, name, None) is not None, f"{module}.{name}"
 
     def test_version_matches_cli_reports(self):
         assert capkit.__version__ == "0.1.0"
